@@ -181,11 +181,10 @@ run_open_loop(apps::Application& app, const device::DeviceModel& device,
     config.num_workers = workers;
     config.queue_capacity = static_cast<std::size_t>(requests) + 16;
     config.batching.max_batch = max_batch;
-    config.batching.gather_window = std::chrono::microseconds(500);
     // A flood pins queue fill at 100%, so the ladder would degrade both
     // modes to max_level and the figure would compare degraded variants,
     // not coalescing.  Keep selection fixed: equal TOQ, equal variant,
-    // the only difference between modes is the gather window.
+    // the only difference between modes is max_batch.
     config.degradation.enabled = false;
     auto variants = app.variants(device);
     // The figure registers the exact kernel alone: wall-clock variant
@@ -264,15 +263,16 @@ best_open_loop(apps::Application& app, const device::DeviceModel& device,
 }
 
 /// Batched vs unbatched serving under an open-loop arrival ladder:
-/// equal TOQ, equal workers, the only difference is the per-kernel
-/// gather window.  Each mode reports two throughputs.  Wall rps is the
-/// host interpreter's achieved rate — it carries no launch overhead, so
-/// batching roughly breaks even there.  Modeled rps prices the same
-/// realized run (served requests, launches actually issued) under the
-/// launch-overhead-aware device model: per-request work plus one fixed
-/// launch cost per launch, so a batch of N pays the overhead once where
-/// the unbatched baseline pays it N times.  The saturation rows show
-/// what coalescing buys once arrivals outpace service capacity.
+/// equal TOQ, equal workers, the only difference is max_batch (batches
+/// form from whatever backlog a worker finds queued).  Each mode reports
+/// two throughputs.  Wall rps is the host interpreter's achieved rate —
+/// it carries no launch overhead, so batching roughly breaks even there.
+/// Modeled rps prices the same realized run (served requests, launches
+/// actually issued) under the launch-overhead-aware device model:
+/// per-request work plus one fixed launch cost per launch, so a batch of
+/// N pays the overhead once where the unbatched baseline pays it N times.
+/// The saturation rows show what coalescing buys once arrivals outpace
+/// service capacity.
 void
 run_open_loop_figure()
 {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "exec/launch.h"
 #include "support/error.h"
 #include "support/parallel.h"
 
@@ -355,9 +356,21 @@ Tuner::serve_batch(const std::vector<std::uint64_t>& input_seeds)
         PARAPROX_CHECK(runs.size() == input_seeds.size(),
                        "run_batch returned a short batch");
     } else {
+        // A single launch consults only the ambient single-member token,
+        // so arm each member's run with its own token from the caller's
+        // batch scope (aligned with input_seeds), and clear the batch
+        // scope so nothing inside one member's run can claim them all.
+        const std::vector<const vm::CancelToken*>* tokens =
+            exec::current_batch_cancel_tokens();
+        if (tokens && tokens->size() != input_seeds.size())
+            tokens = nullptr;
         runs.reserve(input_seeds.size());
-        for (const std::uint64_t seed : input_seeds)
-            runs.push_back(execute(batch.index, seed));
+        for (std::size_t i = 0; i < input_seeds.size(); ++i) {
+            exec::BatchCancelScope no_batch(nullptr);
+            exec::CancelScope member(tokens ? (*tokens)[i]
+                                            : exec::current_cancel_token());
+            runs.push_back(execute(batch.index, input_seeds[i]));
+        }
     }
 
     batch.runs.resize(input_seeds.size());

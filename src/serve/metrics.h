@@ -139,7 +139,7 @@ struct MetricsSnapshot {
     std::int64_t queue_depth = 0;
     /// Sojourn time (admission to resolution) per request.
     LatencySnapshot latency;
-    /// Batch-size distribution of worker pops (gather-window coalescing).
+    /// Batch-size distribution of worker pops (backlog coalescing).
     BatchSnapshot batch;
     /// Amortized per-request latency inside coalesced batches: the batch
     /// serve wall clock divided by its member count, recorded once per

@@ -11,17 +11,15 @@
 ///
 /// Two shapes live here: the original single-deque BoundedQueue, and the
 /// per-kernel ShardedQueue whose consumers pop whole same-shard batches
-/// (with a deadline-bounded gather window) so one launch can serve many
-/// coalesced requests.
+/// so one launch can serve many coalesced requests.
 
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -133,13 +131,14 @@ class BoundedQueue {
 
 /// Per-kernel sharded MPMC queue with batch pop.
 ///
-/// Every kernel owns a shard (its own mutex, deque, and arrival CV), so
-/// producers targeting different kernels never contend on one lock and a
-/// hot kernel's backlog cannot convoy everyone else's.  Consumers scan
-/// shards round-robin and pop a whole same-shard batch at once; when the
-/// first pop undershoots max_batch, they hold the shard open for a gather
-/// window — bounded by the tightest deadline among the batch members —
-/// so closely spaced same-kernel requests coalesce into one launch.
+/// Every kernel owns a shard (its own mutex and deque), so producers
+/// targeting different kernels never contend on one lock and a hot
+/// kernel's backlog cannot convoy everyone else's.  Consumers scan shards
+/// round-robin and claim whatever the first non-empty shard holds, up to
+/// max_batch, in one pop.  Popping is work-conserving: a pop never waits
+/// for more members, so no consumer sits idle next to a queued request.
+/// Batches form from backlog alone — requests that pile up while every
+/// consumer is busy coalesce into one launch.
 ///
 /// Capacity is per shard: each kernel gets its own admission budget, and
 /// oldest_age(shard) answers deadline-aware admission against the shard
@@ -147,16 +146,8 @@ class BoundedQueue {
 template <typename T>
 class ShardedQueue {
   public:
-    /// Extracts a batch member's absolute deadline (nullopt = none); used
-    /// to bound the gather window.  May be empty when no caller attaches
-    /// deadlines.
-    using DeadlineOf = std::function<
-        std::optional<std::chrono::steady_clock::time_point>(const T&)>;
-
-    explicit ShardedQueue(std::size_t capacity_per_shard,
-                          DeadlineOf deadline_of = {})
-        : capacity_(capacity_per_shard),
-          deadline_of_(std::move(deadline_of))
+    explicit ShardedQueue(std::size_t capacity_per_shard)
+        : capacity_(capacity_per_shard)
     {
     }
 
@@ -173,12 +164,6 @@ class ShardedQueue {
     struct PopOptions {
         /// Most entries one pop may coalesce.  1 = no batching.
         std::size_t max_batch = 1;
-        /// How long an undersized batch holds its shard open for late
-        /// same-kernel arrivals.  Zero = take what is there and go.
-        std::chrono::steady_clock::duration gather_window{};
-        /// Safety margin subtracted from member deadlines when they bound
-        /// the gather window.
-        std::chrono::steady_clock::duration deadline_headroom{};
         /// How long an idle consumer waits before PopOutcome::Idle gives
         /// it a turn (services use the tick for pressure relief).
         std::chrono::steady_clock::duration idle_timeout =
@@ -217,7 +202,7 @@ class ShardedQueue {
         Shard* target = nullptr;
         {
             std::lock_guard<std::mutex> lock(sync_mutex_);
-            if (closed_.load(std::memory_order_relaxed))
+            if (closed_)
                 return PushResult::Closed;
             target = shards_[shard].get();
             ++pending_;
@@ -233,29 +218,28 @@ class ShardedQueue {
                 {std::move(item), std::chrono::steady_clock::now()});
         }
         ready_.notify_one();
-        target->arrival.notify_all();
         return PushResult::Ok;
     }
 
     /// Blocking consumer side: wait until something is admitted (or the
     /// queue closes, or idle_timeout passes), claim the first non-empty
-    /// shard at/after @p cursor, and gather up to max_batch entries from
-    /// it.  @p cursor advances past the claimed shard so a consumer
-    /// rotates fairly instead of camping on shard 0.
+    /// shard at/after @p cursor, and take up to max_batch of the entries
+    /// it already holds — never waiting for more.  @p cursor advances
+    /// past the claimed shard so a consumer rotates fairly instead of
+    /// camping on shard 0.
     BatchPop pop_batch(std::size_t& cursor, const PopOptions& options)
     {
         BatchPop out;
         std::unique_lock<std::mutex> sync(sync_mutex_);
         for (;;) {
             if (pending_ == 0) {
-                if (closed_.load(std::memory_order_relaxed)) {
+                if (closed_) {
                     out.outcome = PopOutcome::Closed;
                     return out;
                 }
                 const bool admitted = ready_.wait_for(
                     sync, options.idle_timeout, [this] {
-                        return pending_ > 0 ||
-                               closed_.load(std::memory_order_relaxed);
+                        return pending_ > 0 || closed_;
                     });
                 if (!admitted) {
                     out.outcome = PopOutcome::Idle;
@@ -279,7 +263,14 @@ class ShardedQueue {
                 std::unique_lock<std::mutex> lock(shard.mutex);
                 if (shard.items.empty())
                     continue;
-                gather_locked(shard, lock, options, out.items);
+                const std::size_t take =
+                    std::min(shard.items.size(),
+                             std::max<std::size_t>(options.max_batch, 1));
+                out.items.reserve(take);
+                for (std::size_t i = 0; i < take; ++i) {
+                    out.items.push_back(std::move(shard.items.front().item));
+                    shard.items.pop_front();
+                }
                 out.remaining = shard.items.size();
                 lock.unlock();
 
@@ -295,8 +286,7 @@ class ShardedQueue {
             // item in a shard yet (or a full-shard undo is in flight);
             // the window is a few instructions, so wait it out briefly.
             sync.lock();
-            if (pending_ > 0 &&
-                !closed_.load(std::memory_order_relaxed)) {
+            if (pending_ > 0 && !closed_) {
                 ready_.wait_for(sync, std::chrono::microseconds(100));
             }
         }
@@ -332,7 +322,7 @@ class ShardedQueue {
     }
 
     /// Entries admitted and not yet claimed by a pop, across all shards
-    /// (a batch mid-gather still counts until its pop completes).
+    /// (a batch mid-pop still counts until its pop completes).
     std::size_t size() const
     {
         std::lock_guard<std::mutex> lock(sync_mutex_);
@@ -341,25 +331,14 @@ class ShardedQueue {
 
     std::size_t capacity() const { return capacity_; }
 
-    /// Refuse new admissions; queued entries remain poppable and
-    /// consumers mid-gather cut their window short.
+    /// Refuse new admissions; queued entries remain poppable.
     void close()
     {
-        std::vector<Shard*> shards;
         {
             std::lock_guard<std::mutex> lock(sync_mutex_);
-            closed_.store(true, std::memory_order_relaxed);
-            shards.reserve(shards_.size());
-            for (const auto& shard : shards_)
-                shards.push_back(shard.get());
+            closed_ = true;
         }
         ready_.notify_all();
-        for (Shard* shard : shards) {
-            // Take the lock empty so a gather waiter cannot sleep
-            // through the flag flip, then wake it.
-            { std::lock_guard<std::mutex> lock(shard->mutex); }
-            shard->arrival.notify_all();
-        }
     }
 
   private:
@@ -370,75 +349,20 @@ class ShardedQueue {
 
     struct Shard {
         std::mutex mutex;
-        std::condition_variable arrival;
         std::deque<Entry> items;
     };
 
-    /// Claim up to max_batch entries from @p shard (mutex held via
-    /// @p lock), holding it open for the gather window when the first
-    /// sweep undershoots.  The window never extends past the tightest
-    /// member deadline minus the headroom: a batch must launch while its
-    /// most urgent member can still make it.
-    void gather_locked(Shard& shard, std::unique_lock<std::mutex>& lock,
-                       const PopOptions& options, std::vector<T>& items)
-    {
-        using clock = std::chrono::steady_clock;
-        const std::size_t max_batch =
-            options.max_batch == 0 ? 1 : options.max_batch;
-        auto window_end = clock::time_point::max();
-        bool window_open = options.gather_window.count() > 0;
-        if (window_open)
-            window_end = clock::now() + options.gather_window;
-
-        const auto take = [&] {
-            while (!shard.items.empty() && items.size() < max_batch) {
-                if (deadline_of_) {
-                    if (const auto deadline =
-                            deadline_of_(shard.items.front().item)) {
-                        const auto cutoff =
-                            *deadline - options.deadline_headroom;
-                        // A member whose cutoff has already passed
-                        // closes the window outright: the batch must
-                        // launch now.  Merely lowering window_end would
-                        // hand wait_until a stamp in the past — a
-                        // degenerate wait the loop then has to notice
-                        // against a fresh clock read.
-                        if (cutoff <= clock::now())
-                            window_open = false;
-                        else if (cutoff < window_end)
-                            window_end = cutoff;
-                    }
-                }
-                items.push_back(std::move(shard.items.front().item));
-                shard.items.pop_front();
-            }
-        };
-
-        take();
-        while (window_open && items.size() < max_batch &&
-               !closed_.load(std::memory_order_relaxed)) {
-            const auto now = clock::now();
-            if (now >= window_end)
-                break;
-            shard.arrival.wait_until(lock, window_end);
-            take();
-        }
-    }
-
     const std::size_t capacity_;
-    const DeadlineOf deadline_of_;
 
-    /// Guards shards_ growth, pending_, and the closed flip.  Lock
-    /// order: sync_mutex_ may be taken while holding a shard mutex (the
-    /// full-shard undo), never the reverse — pop/close release it before
+    /// Guards shards_ growth, pending_, and closed_.  Lock order:
+    /// sync_mutex_ may be taken while holding a shard mutex (the
+    /// full-shard undo), never the reverse — pop releases it before
     /// touching shard mutexes.
     mutable std::mutex sync_mutex_;
     std::condition_variable ready_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::size_t pending_ = 0;
-    /// Written under sync_mutex_; atomic so gather waiters (holding only
-    /// a shard mutex) can read it without inverting the lock order.
-    std::atomic<bool> closed_{false};
+    bool closed_ = false;
 };
 
 }  // namespace paraprox::serve

@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <chrono>
+#include <utility>
 
 #include "exec/launch.h"
 #include "runtime/quality.h"
@@ -37,9 +38,7 @@ to_string(ServeStatus status)
 
 ApproxService::ApproxService(ServiceConfig config)
     : config_(config),
-      queue_(config.queue_capacity, [](const Job& job) {
-          return job.deadline;
-      }),
+      queue_(config.queue_capacity),
       watchdog_(config.watchdog)
 {
     PARAPROX_CHECK(config_.queue_capacity > 0,
@@ -318,8 +317,6 @@ ApproxService::worker_loop(std::size_t worker_index)
     std::size_t cursor = worker_index;
     ShardedQueue<Job>::PopOptions options;
     options.max_batch = config_.batching.max_batch;
-    options.gather_window = config_.batching.gather_window;
-    options.deadline_headroom = config_.batching.deadline_headroom;
     options.idle_timeout = config_.degradation.idle_tick;
 
     for (;;) {
@@ -469,6 +466,16 @@ ApproxService::serve_one(KernelState& state, std::uint64_t seed,
                    std::chrono::steady_clock::now() - start)
                    .count());
 
+    response = take_served(served);
+    if (admit_shadow(state, served.index, response, seed))
+        shadow_audit(state, seed, served.index, response);
+    return response;
+}
+
+Response
+ApproxService::take_served(runtime::ServedRun& served)
+{
+    Response response;
     response.run = std::move(served.run);
     response.served_by = std::move(served.label);
     response.degraded = served.degraded;
@@ -477,33 +484,41 @@ ApproxService::serve_one(KernelState& state, std::uint64_t seed,
         metrics_.trap_fallbacks.fetch_add(1, std::memory_order_relaxed);
     if (served.degraded)
         metrics_.degraded_serves.fetch_add(1, std::memory_order_relaxed);
+    return response;
+}
 
+bool
+ApproxService::admit_shadow(KernelState& state, int index,
+                            const Response& response, std::uint64_t seed)
+{
     // Shadow only clean approximate runs: auditing exact against itself
     // tells the monitor nothing, a trap fallback already reported its
     // failure, and a degraded serve is *expected* to miss the TOQ — a
     // deliberate load-shedding choice must not read as drift or count
     // against the variant's breaker.  The short-circuit also keeps
     // admit() from burning shadow slots on runs that cannot be audited.
-    const bool shadow = served.index != 0 && !served.trap_fallback &&
-                        !served.degraded && state.monitor.admit(seed);
-    if (shadow) {
-        const runtime::VariantRun exact = state.tuner.run_exact(seed);
-        response.shadowed = true;
-        response.shadow_quality = runtime::quality_percent(
-            state.metric, exact.output, response.run.output);
-        metrics_.shadow_runs.fetch_add(1, std::memory_order_relaxed);
-        if (response.shadow_quality < state.toq) {
-            metrics_.shadow_violations.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            // A quality failure counts against the variant's breaker just
-            // like a trap: K sustained misses quarantine it even before
-            // the monitor's slower drift trigger fires.
-            state.tuner.record_failure(served.index);
-        }
-        if (state.monitor.record(response.shadow_quality))
-            trigger_recalibration(state, {});
+    return index != 0 && !response.trap_fallback && !response.degraded &&
+           state.monitor.admit(seed);
+}
+
+void
+ApproxService::shadow_audit(KernelState& state, std::uint64_t seed,
+                            int index, Response& response)
+{
+    const runtime::VariantRun exact = state.tuner.run_exact(seed);
+    response.shadowed = true;
+    response.shadow_quality = runtime::quality_percent(
+        state.metric, exact.output, response.run.output);
+    metrics_.shadow_runs.fetch_add(1, std::memory_order_relaxed);
+    if (response.shadow_quality < state.toq) {
+        metrics_.shadow_violations.fetch_add(1, std::memory_order_relaxed);
+        // A quality failure counts against the variant's breaker just
+        // like a trap: K sustained misses quarantine it even before the
+        // monitor's slower drift trigger fires.
+        state.tuner.record_failure(index);
     }
-    return response;
+    if (state.monitor.record(response.shadow_quality))
+        trigger_recalibration(state, {});
 }
 
 void
@@ -618,8 +633,14 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
     const double amortized =
         batch_wall / static_cast<double>(live.size());
 
+    // Resolve first, audit after: a member whose answer needs an exact
+    // run — a shadow audit, or a hung launch's exact re-serve — must not
+    // hold up batch-mates that need neither.  The deferred work runs in
+    // member order, so admit(), record() and record_failure() all still
+    // see the batch in member order.
     bool any_cancelled = false;
     bool hang_charged = false;
+    std::vector<std::pair<std::size_t, Response>> deferred;
     for (std::size_t i = 0; i < live.size(); ++i) {
         runtime::ServedRun& served = batch.runs[i];
         metrics_.batch_latency.record(amortized);
@@ -628,42 +649,29 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
             std::memory_order_relaxed);
         if (served.run.cancelled && watched) {
             any_cancelled = true;
+            if (tokens[i]->reason() == vm::CancelReason::Watchdog) {
+                deferred.emplace_back(i, Response{});
+                continue;
+            }
             resolve_job(*live[i],
                         finish_cancelled(state, live[i]->seed, served,
                                          *tokens[i], hang_charged));
             continue;
         }
-
-        Response response;
-        response.run = std::move(served.run);
-        response.served_by = std::move(served.label);
-        response.degraded = served.degraded;
-        response.trap_fallback = served.trap_fallback;
-        if (served.trap_fallback)
-            metrics_.trap_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        if (served.degraded)
-            metrics_.degraded_serves.fetch_add(1,
-                                               std::memory_order_relaxed);
-
-        // Per-member shadow sampling, same policy as serve_one: audit
-        // only clean approximate runs, one admit() decision per request.
-        const bool shadow = served.index != 0 && !served.trap_fallback &&
-                            !served.degraded &&
-                            state.monitor.admit(live[i]->seed);
-        if (shadow) {
-            const runtime::VariantRun exact =
-                state.tuner.run_exact(live[i]->seed);
-            response.shadowed = true;
-            response.shadow_quality = runtime::quality_percent(
-                state.metric, exact.output, response.run.output);
-            metrics_.shadow_runs.fetch_add(1, std::memory_order_relaxed);
-            if (response.shadow_quality < state.toq) {
-                metrics_.shadow_violations.fetch_add(
-                    1, std::memory_order_relaxed);
-                state.tuner.record_failure(served.index);
-            }
-            if (state.monitor.record(response.shadow_quality))
-                trigger_recalibration(state, {});
+        Response response = take_served(served);
+        if (admit_shadow(state, served.index, response, live[i]->seed)) {
+            deferred.emplace_back(i, std::move(response));
+            continue;
+        }
+        resolve_job(*live[i], std::move(response));
+    }
+    for (auto& [i, response] : deferred) {
+        const runtime::ServedRun& served = batch.runs[i];
+        if (served.run.cancelled && watched) {
+            response = finish_cancelled(state, live[i]->seed, served,
+                                        *tokens[i], hang_charged);
+        } else {
+            shadow_audit(state, live[i]->seed, served.index, response);
         }
         resolve_job(*live[i], std::move(response));
     }

@@ -4,15 +4,15 @@
 /// A KernelSession (or any variant list) ends at a calibrated
 /// runtime::Tuner — a single-caller object.  ApproxService is what turns
 /// that into a service: requests enter through per-kernel sharded queues
-/// with reject-on-full backpressure, worker threads pop whole same-kernel
-/// batches (holding an undersized batch open for a deadline-bounded
-/// gather window) and execute them as one concatenated launch against the
-/// kernel's currently selected variant, and a per-kernel QualityMonitor
-/// shadows a sample of requests with the exact kernel.  On sustained TOQ
-/// violation the monitor triggers an asynchronous recalibration (on the
-/// global ThreadPool) over the seeds that actually drifted; while it
-/// runs, the kernel's requests are served by the always-safe exact
-/// member, so nothing queued is ever dropped.
+/// with reject-on-full backpressure, worker threads pop whatever same-
+/// kernel backlog is queued (never waiting for more) and execute it as
+/// one concatenated launch against the kernel's currently selected
+/// variant, and a per-kernel QualityMonitor shadows a sample of requests
+/// with the exact kernel.  On sustained TOQ violation the monitor
+/// triggers an asynchronous recalibration (on the global ThreadPool) over
+/// the seeds that actually drifted; while it runs, the kernel's requests
+/// are served by the always-safe exact member, so nothing queued is ever
+/// dropped.
 ///
 ///     submit -> ShardedQueue[kernel] -> workers -> Tuner::serve_batch
 ///                                         |-> QualityMonitor (per member)
@@ -74,17 +74,10 @@ struct DegradationConfig {
 /// Same-kernel request coalescing knobs.
 struct BatchConfig {
     /// Most requests one worker pop may serve as a single concatenated
-    /// launch.  1 disables batching entirely.
+    /// launch.  1 disables batching entirely.  A pop takes only what the
+    /// kernel's shard already holds and never waits for more, so batches
+    /// form from backlog alone.
     std::size_t max_batch = 16;
-    /// How long an undersized batch holds its kernel's shard open for
-    /// late same-kernel arrivals.  Zero = take what is queued and go.
-    /// The window never extends past the tightest member deadline minus
-    /// `deadline_headroom`.
-    std::chrono::steady_clock::duration gather_window =
-        std::chrono::microseconds(200);
-    /// Safety margin reserved for the launch itself when member
-    /// deadlines bound the gather window.
-    std::chrono::steady_clock::duration deadline_headroom{};
 };
 
 struct ServiceConfig {
@@ -95,7 +88,7 @@ struct ServiceConfig {
     /// rejected.  Each registered kernel owns a shard, so kernels no
     /// longer compete for one global admission budget.
     std::size_t queue_capacity = 256;
-    /// Same-kernel coalescing (gather window, max batch).
+    /// Same-kernel coalescing (max batch).
     BatchConfig batching;
     /// Per-kernel monitoring knobs.
     QualityMonitor::Config monitor;
@@ -394,9 +387,21 @@ class ApproxService {
     /// Serve one popped batch (all jobs share a kernel): scatter expired
     /// members to DeadlineExceeded, run the rest as one coalesced launch
     /// registered with the watchdog under @p worker's slot, and resolve
-    /// every member's future.
+    /// every member's future — members needing no exact run first, then
+    /// the shadow audits and hung-launch re-serves, in member order.
     void serve_batch(std::size_t worker, KernelState& state,
                      std::vector<Job>& jobs);
+    /// Move a clean ServedRun into a Response, counting trap fallbacks
+    /// and degraded serves.
+    Response take_served(runtime::ServedRun& served);
+    /// Whether to shadow-audit @p response (served by variant @p index):
+    /// one monitor admit() per clean approximate run.
+    static bool admit_shadow(KernelState& state, int index,
+                             const Response& response, std::uint64_t seed);
+    /// Run @p seed exact, score @p response against it, and feed the
+    /// verdict to the variant's breaker and the kernel's monitor.
+    void shadow_audit(KernelState& state, std::uint64_t seed, int index,
+                      Response& response);
     /// Resolve one job's future with @p response.  Ok responses record
     /// sojourn latency and the served counter; non-Ok responses (deadline
     /// cancellations) resolve the future and the flight only, keeping

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -331,8 +334,9 @@ TEST_F(ChaosServeTest, DeadlinesRejectAtAdmissionAndExpireInQueue)
 {
     ServiceConfig config = chaos_service(1, 8);
     // This test's whole point is requests expiring *in the queue* behind
-    // a busy worker; a gather window would coalesce the doomed request
-    // into the same launch as the blocker and serve it early.
+    // a busy worker; a worker that wakes after the burst is queued would
+    // coalesce the doomed request into the blocker's launch and serve it
+    // early.
     config.batching.max_batch = 1;
     ApproxService service(config);
     std::vector<Variant> variants;
@@ -868,6 +872,123 @@ TEST_F(ChaosCancelTest, HungLaunchIsShotQuarantinedAndServedExact)
     ASSERT_TRUE(after.accepted);
     EXPECT_EQ(after.response.get().served_by, "exact");
     service.drain();
+    service.stop();
+}
+
+/// Park a one-worker service's only worker inside a "plug" kernel until
+/// @p release fires, so requests submitted meanwhile pile up as a backlog
+/// and pop as one coalesced batch.  Returns the plug's ticket once the
+/// worker is inside it.
+Ticket
+park_worker(ApproxService& service, std::shared_future<void> release)
+{
+    auto entered = std::make_shared<std::atomic<bool>>(false);
+    std::vector<Variant> variants;
+    variants.push_back({"exact", 0, [release, entered](std::uint64_t seed) {
+                            // Calibration seeds never block.
+                            if (seed >= 100) {
+                                entered->store(true);
+                                release.wait();
+                            }
+                            VariantRun run;
+                            run.output = {1.0f};
+                            run.modeled_cycles = 1000.0;
+                            return run;
+                        }});
+    service.register_kernel("plug", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1});
+    Ticket plug = service.submit("plug", 100);
+    while (plug.accepted && !entered->load())
+        std::this_thread::yield();
+    return plug;
+}
+
+TEST_F(ChaosCancelTest, PerSeedBatchObservesEachMembersDeadline)
+{
+    // vm_variants() have no run_batch, so a coalesced batch of them runs
+    // one launch per seed.  Each of those launches must still observe its
+    // own member's token: the heavy member's deadline dies mid-launch and
+    // cancels it, while its light batch-mate is served normally.
+    ServiceConfig config = chaos_service(1, 16);
+    config.watchdog.tick = std::chrono::milliseconds(1);
+    ApproxService service(config);
+    service.register_kernel("k", vm_variants(),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_EQ(service.kernel_snapshot("k").selected, "approx_k");
+
+    std::promise<void> release;
+    Ticket plug = park_worker(service, release.get_future().share());
+    Ticket doomed = service.submit(
+        "k", 1001, SubmitOptions::within(std::chrono::milliseconds(50)));
+    Ticket light = service.submit("k", 5);
+    release.set_value();
+    ASSERT_TRUE(plug.accepted);
+    ASSERT_TRUE(doomed.accepted);
+    ASSERT_TRUE(light.accepted);
+
+    const Response cancelled = doomed.response.get();
+    EXPECT_EQ(cancelled.status, ServeStatus::DeadlineExceeded);
+    EXPECT_TRUE(cancelled.run.output.empty());
+    const Response served = light.response.get();
+    EXPECT_EQ(served.status, ServeStatus::Ok);
+    EXPECT_EQ(served.served_by, "approx_k");
+    plug.response.get();
+    service.drain();
+
+    const MetricsSnapshot metrics = service.metrics().snapshot();
+    EXPECT_EQ(metrics.batch.max_size, 2u);
+    EXPECT_EQ(metrics.cancelled_launches, 1u);
+    EXPECT_EQ(metrics.deadline_expired, 1u);
+    EXPECT_EQ(metrics.watchdog_cancels, 0u);
+    service.stop();
+}
+
+TEST_F(ChaosCancelTest, PerSeedBatchObservesTheWatchdog)
+{
+    // The same per-seed batch shape, wedged: the first member's launch
+    // spins on vm.hang until its token fires.  The watchdog must shoot
+    // the whole flight, and both members must come back exact.
+    ServiceConfig config = chaos_service(1, 16);
+    config.watchdog.tick = std::chrono::milliseconds(1);
+    config.watchdog.hang_floor = std::chrono::milliseconds(60);
+    config.quarantine = {/*failure_threshold=*/1, /*failure_window=*/64,
+                         /*cooldown=*/1u << 20, /*cooldown_growth=*/2.0,
+                         /*max_cooldown=*/1u << 20, /*probe_quota=*/1};
+    ApproxService service(config);
+    service.register_kernel("k", vm_variants(),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_EQ(service.kernel_snapshot("k").selected, "approx_k");
+
+    std::promise<void> release;
+    Ticket plug = park_worker(service, release.get_future().share());
+    fault::FaultSpec hang;
+    hang.site = "vm.hang";
+    hang.match = "approx_k";
+    hang.every = 1;
+    hang.limit = 1;
+    fault::FaultInjector::instance().arm({hang});
+    std::vector<Ticket> tickets;
+    tickets.push_back(service.submit("k", 7));
+    tickets.push_back(service.submit("k", 8));
+    release.set_value();
+    ASSERT_TRUE(plug.accepted);
+
+    for (Ticket& ticket : tickets) {
+        ASSERT_TRUE(ticket.accepted);
+        const Response response = ticket.response.get();
+        EXPECT_EQ(response.status, ServeStatus::Ok);
+        EXPECT_EQ(response.served_by, "exact");
+        EXPECT_TRUE(response.watchdog_fallback);
+        EXPECT_FALSE(response.run.output.empty());
+    }
+    plug.response.get();
+    service.drain();
+
+    const MetricsSnapshot metrics = service.snapshot().metrics;
+    EXPECT_EQ(metrics.batch.max_size, 2u);
+    EXPECT_EQ(metrics.watchdog_fallbacks, 2u);
+    EXPECT_GE(metrics.quarantines, 1u);
+    EXPECT_EQ(service.kernel_snapshot("k").selected, "exact");
     service.stop();
 }
 

@@ -69,6 +69,10 @@ struct MonotoneCase {
     float hi;
 };
 
+// Print a case by its name. GoogleTest's default dumps the raw bytes, which
+// include the string pointers and so change from one process to the next.
+void PrintTo(const MonotoneCase& param, std::ostream* os) { *os << param.name; }
+
 class MemoMonotoneTest : public ::testing::TestWithParam<MonotoneCase> {};
 
 TEST_P(MemoMonotoneTest, QualityGrowsWithBits)

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <future>
 #include <thread>
 
 #include "serve/metrics.h"
@@ -73,7 +74,7 @@ TEST(BoundedQueueTest, PushResultNames)
 
 using IntShards = ShardedQueue<int>;
 
-/// Take-what-is-there pop: no gather window, batch bounded by @p max.
+/// One pop of up to @p max queued entries.
 IntShards::BatchPop
 pop_now(IntShards& queue, std::size_t& cursor, std::size_t max,
         std::chrono::steady_clock::duration idle =
@@ -163,88 +164,79 @@ TEST(ShardedQueueTest, IdleThenCloseOutcomes)
               IntShards::PopOutcome::Closed);
 }
 
-TEST(ShardedQueueTest, GatherWindowCoalescesLateArrivals)
+TEST(ShardedQueueTest, PopTakesWhatIsQueuedWithoutWaitingForMore)
 {
     IntShards queue(16);
     const std::size_t a = queue.add_shard();
     ASSERT_EQ(queue.try_push(a, 0), PushResult::Ok);
 
-    IntShards::PopOptions options;
-    options.max_batch = 4;
-    options.gather_window = std::chrono::milliseconds(250);
-    options.idle_timeout = std::chrono::seconds(5);
-
-    // The consumer claims the one queued item, then holds the shard open;
-    // the producer trickles in the rest of the batch during the window.
+    // A producer is about to add a second item, but the pop is
+    // work-conserving: it claims the one queued item and returns at once
+    // instead of holding the shard open for the late arrival.
+    std::atomic<bool> pushed{false};
     std::thread producer([&] {
-        for (int i = 1; i < 4; ++i) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            ASSERT_EQ(queue.try_push(a, i), PushResult::Ok);
-        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_EQ(queue.try_push(a, 1), PushResult::Ok);
+        pushed.store(true);
     });
     std::size_t cursor = 0;
-    const auto batch = queue.pop_batch(cursor, options);
+    const auto batch = pop_now(queue, cursor, 4, std::chrono::seconds(5));
+    const bool raced = pushed.load();
     producer.join();
     ASSERT_EQ(batch.outcome, IntShards::PopOutcome::Batch);
-    // max_batch closes the window early, so all four coalesce well before
-    // the 250 ms window expires.
-    ASSERT_EQ(batch.items.size(), 4u);
+    ASSERT_EQ(batch.items.size(), 1u);
+    EXPECT_EQ(batch.items[0], 0);
+    EXPECT_FALSE(raced);
+
+    const auto late = pop_now(queue, cursor, 4);
+    ASSERT_EQ(late.outcome, IntShards::PopOutcome::Batch);
+    ASSERT_EQ(late.items.size(), 1u);
+    EXPECT_EQ(late.items[0], 1);
+}
+
+TEST(ShardedQueueTest, BacklogPopsAsFullBatchesInFifoOrder)
+{
+    IntShards queue(32);
+    const std::size_t a = queue.add_shard();
+    for (int i = 0; i < 20; ++i)
+        ASSERT_EQ(queue.try_push(a, i), PushResult::Ok);
+
+    std::size_t cursor = 0;
+    const auto first = pop_now(queue, cursor, 16);
+    ASSERT_EQ(first.outcome, IntShards::PopOutcome::Batch);
+    ASSERT_EQ(first.items.size(), 16u);
+    EXPECT_EQ(first.remaining, 4u);
+    const auto second = pop_now(queue, cursor, 16);
+    ASSERT_EQ(second.outcome, IntShards::PopOutcome::Batch);
+    ASSERT_EQ(second.items.size(), 4u);
+    EXPECT_EQ(second.remaining, 0u);
+    for (int i = 0; i < 16; ++i)
+        EXPECT_EQ(first.items[i], i);
     for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(batch.items[i], i);
+        EXPECT_EQ(second.items[i], 16 + i);
+    EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(ShardedQueueTest, TightestDeadlineBoundsTheGatherWindow)
+TEST(ShardedQueueTest, CloseMidBacklogStillDrains)
 {
-    // A member due in 10 ms must not be held behind a 10 s gather window:
-    // the pop returns as soon as the member's cutoff arrives.
-    const auto due =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
-    IntShards queue(4, [due](const int&) {
-        return std::optional<std::chrono::steady_clock::time_point>(due);
-    });
+    IntShards queue(32);
     const std::size_t a = queue.add_shard();
-    ASSERT_EQ(queue.try_push(a, 1), PushResult::Ok);
+    for (int i = 0; i < 20; ++i)
+        ASSERT_EQ(queue.try_push(a, i), PushResult::Ok);
 
-    IntShards::PopOptions options;
-    options.max_batch = 4;
-    options.gather_window = std::chrono::seconds(10);
-    const auto start = std::chrono::steady_clock::now();
     std::size_t cursor = 0;
-    const auto batch = queue.pop_batch(cursor, options);
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    ASSERT_EQ(batch.outcome, IntShards::PopOutcome::Batch);
-    EXPECT_EQ(batch.items.size(), 1u);
-    EXPECT_LT(elapsed, std::chrono::seconds(5));
-}
-
-TEST(ShardedQueueTest, AlreadyPassedCutoffClosesTheWindowImmediately)
-{
-    // A member whose `deadline - headroom` is already in the past must
-    // close the gather window on sight: the launch margin is gone, so
-    // holding the shard open for late arrivals could only expire it.
-    // (Regression: the window loop used to treat a passed cutoff as a
-    // wait target and slept on it.)
-    const auto due =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
-    IntShards queue(4, [due](const int&) {
-        return std::optional<std::chrono::steady_clock::time_point>(due);
-    });
-    const std::size_t a = queue.add_shard();
-    ASSERT_EQ(queue.try_push(a, 1), PushResult::Ok);
-
-    IntShards::PopOptions options;
-    options.max_batch = 4;
-    options.gather_window = std::chrono::seconds(10);
-    options.deadline_headroom = std::chrono::milliseconds(100);
-    const auto start = std::chrono::steady_clock::now();
-    std::size_t cursor = 0;
-    const auto batch = queue.pop_batch(cursor, options);
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    ASSERT_EQ(batch.outcome, IntShards::PopOutcome::Batch);
-    EXPECT_EQ(batch.items.size(), 1u);
-    // Returned on sight: well before the member's own 50 ms deadline,
-    // let alone the 10 s window.
-    EXPECT_LT(elapsed, std::chrono::milliseconds(40));
+    ASSERT_EQ(pop_now(queue, cursor, 16).items.size(), 16u);
+    queue.close();
+    EXPECT_EQ(queue.try_push(a, 99), PushResult::Closed);
+    // Admitted before the close: the rest of the backlog still pops, and
+    // only then are consumers released.
+    const auto rest = pop_now(queue, cursor, 16);
+    ASSERT_EQ(rest.outcome, IntShards::PopOutcome::Batch);
+    ASSERT_EQ(rest.items.size(), 4u);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(rest.items[i], 16 + i);
+    EXPECT_EQ(pop_now(queue, cursor, 16).outcome,
+              IntShards::PopOutcome::Closed);
 }
 
 // ---- LatencyHistogram -------------------------------------------------------
@@ -1122,7 +1114,6 @@ TEST(ApproxServiceTest, MixedDeadlineBatchScattersOnlyExpiredMembers)
     // batch-mate is served normally.
     ServiceConfig config = small_service(1, 16);
     config.batching.max_batch = 16;
-    config.batching.gather_window = {};  // Take what is queued and go.
     ApproxService service(config);
     std::vector<Variant> variants;
     variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0, 50));
@@ -1152,6 +1143,105 @@ TEST(ApproxServiceTest, MixedDeadlineBatchScattersOnlyExpiredMembers)
     EXPECT_EQ(metrics.deadline_expired, 1u);
     EXPECT_EQ(metrics.served, 2u);
     EXPECT_EQ(metrics.queue_depth, 0);
+}
+
+/// A one-shot latch a variant can block on until the test opens it.
+/// Opens on destruction too, so a failed assertion never leaves a worker
+/// parked inside the service being torn down.
+class Gate {
+  public:
+    Gate() : opened_future_(opened_.get_future().share()) {}
+    ~Gate() { open(); }
+
+    void open()
+    {
+        if (!open_.exchange(true))
+            opened_.set_value();
+    }
+    std::shared_future<void> future() const { return opened_future_; }
+
+  private:
+    std::promise<void> opened_;
+    std::shared_future<void> opened_future_;
+    std::atomic<bool> open_{false};
+};
+
+TEST(ApproxServiceTest, UnshadowedBatchMateResolvesBeforeTheAudit)
+{
+    // One coalesced batch of three: the middle member draws a shadow
+    // audit whose exact run blocks until the test opens `audit`.  The
+    // last member needs no audit, so it must resolve while the audit is
+    // still stuck — audits run after every unshadowed member resolves.
+    ServiceConfig config = small_service(1, 16);
+    config.monitor.shadow_interval = 2;
+    ApproxService service(config);
+    Gate plug_gate;
+    Gate audit;
+    std::atomic<bool> plugged{false};
+
+    const auto gated = [](std::shared_future<void> gate,
+                          std::atomic<bool>* entered, float bias,
+                          double cycles) {
+        return [gate, entered, bias, cycles](std::uint64_t seed) {
+            // Calibration seeds stay below 100 and never block.
+            if (seed >= 100) {
+                if (entered != nullptr)
+                    entered->store(true);
+                gate.wait();
+            }
+            VariantRun run;
+            run.output = {static_cast<float>(seed % 100) + 1.0f + bias,
+                          10.0f + bias};
+            run.modeled_cycles = cycles;
+            return run;
+        };
+    };
+    std::vector<Variant> variants;
+    variants.push_back(
+        {"exact", 0, gated(audit.future(), nullptr, 0.0f, 1000.0)});
+    variants.push_back(fake_variant("good", 1, 0.1f, 100.0));
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    std::vector<Variant> plug_variants;
+    plug_variants.push_back(
+        {"exact", 0, gated(plug_gate.future(), &plugged, 0.0f, 1000.0)});
+    service.register_kernel("plug", std::move(plug_variants),
+                            Metric::MeanRelativeError, 90.0, {1});
+
+    // Park the only worker so the three requests queue up as a backlog
+    // and pop as one batch.
+    Ticket plug = service.submit("plug", 100);
+    ASSERT_TRUE(plug.accepted);
+    while (!plugged.load())
+        std::this_thread::yield();
+    std::vector<Ticket> tickets;
+    for (std::uint64_t seed = 100; seed < 103; ++seed) {
+        tickets.push_back(service.submit("k", seed));
+        ASSERT_TRUE(tickets.back().accepted);
+    }
+    plug_gate.open();
+
+    // Monitor admissions 1, 2, 3: only the middle member is shadowed.
+    ASSERT_EQ(tickets[2].response.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    EXPECT_EQ(tickets[1].response.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    const Response last = tickets[2].response.get();
+    EXPECT_EQ(last.served_by, "good");
+    EXPECT_FALSE(last.shadowed);
+
+    audit.open();
+    const Response audited = tickets[1].response.get();
+    EXPECT_TRUE(audited.shadowed);
+    EXPECT_GE(audited.shadow_quality, 90.0);
+    EXPECT_FALSE(tickets[0].response.get().shadowed);
+    plug.response.get();
+    service.drain();
+
+    const auto metrics = service.metrics().snapshot();
+    EXPECT_EQ(metrics.batch.max_size, 3u);
+    EXPECT_EQ(metrics.shadow_runs, 1u);
+    EXPECT_EQ(metrics.served, 4u);
 }
 
 // ---- Watchdog ---------------------------------------------------------------

@@ -23,45 +23,35 @@ bind_tables(const std::vector<TableBinding>& tables, exec::ArgPack& args,
     }
 }
 
-namespace {
-
-/// Shared immutable state captured by every variant closure.
-struct VariantContext {
-    device::DeviceModel device;
-    LaunchPlan plan;
-};
-
 runtime::VariantRun
-run_one(const vm::Program& program,
-        const std::vector<TableBinding>& tables,
-        const VariantContext& context, std::uint64_t seed,
-        vm::ExecMode mode)
+run_one(const vm::Program& program, const std::vector<TableBinding>& tables,
+        const LaunchPlan& plan, const device::DeviceModel& device,
+        std::uint64_t seed, vm::ExecMode mode)
 {
+    PARAPROX_CHECK(plan.bind_inputs != nullptr,
+                   "LaunchPlan needs a bind_inputs callback");
     exec::ArgPack args;
     std::vector<std::unique_ptr<exec::Buffer>> storage;
-    context.plan.bind_inputs(seed, args, storage);
+    plan.bind_inputs(seed, args, storage);
     bind_tables(tables, args, storage);
 
     runtime::VariantRun run =
         mode == vm::ExecMode::Fast
-            ? runtime::run_fast_unpriced(program, args, context.plan.config)
-            : runtime::run_priced(program, args, context.plan.config,
-                                  context.device);
-    const exec::Buffer* output =
-        args.find_buffer(context.plan.output_buffer);
+            ? runtime::run_fast_unpriced(program, args, plan.config)
+            : runtime::run_priced(program, args, plan.config, device);
+    const exec::Buffer* output = args.find_buffer(plan.output_buffer);
     PARAPROX_CHECK(output, "LaunchPlan output buffer `" +
-                               context.plan.output_buffer +
-                               "` was not bound");
+                               plan.output_buffer + "` was not bound");
     runtime::attach_output(run, *output);
     return run;
 }
 
 std::vector<runtime::VariantRun>
-run_many(const vm::Program& program,
-         const std::vector<TableBinding>& tables,
-         const VariantContext& context,
-         const std::vector<std::uint64_t>& seeds)
+run_many(const vm::Program& program, const std::vector<TableBinding>& tables,
+         const LaunchPlan& plan, const std::vector<std::uint64_t>& seeds)
 {
+    PARAPROX_CHECK(plan.bind_inputs != nullptr,
+                   "LaunchPlan needs a bind_inputs callback");
     // The per-request fixed costs a batch amortizes: the lookup tables
     // are copied into Buffers once (bind_tables per request is the
     // dominant bind cost for memoized kernels), and one concatenated
@@ -77,22 +67,28 @@ run_many(const vm::Program& program,
     members.reserve(seeds.size());
     for (const std::uint64_t seed : seeds) {
         packs.push_back(base);
-        context.plan.bind_inputs(seed, packs.back(), storage);
+        plan.bind_inputs(seed, packs.back(), storage);
         members.push_back(&packs.back());
     }
 
     std::vector<runtime::VariantRun> runs =
-        runtime::run_batch_unpriced(program, members, context.plan.config);
+        runtime::run_batch_unpriced(program, members, plan.config);
     for (std::size_t i = 0; i < runs.size(); ++i) {
-        const exec::Buffer* output =
-            packs[i].find_buffer(context.plan.output_buffer);
+        const exec::Buffer* output = packs[i].find_buffer(plan.output_buffer);
         PARAPROX_CHECK(output, "LaunchPlan output buffer `" +
-                                   context.plan.output_buffer +
-                                   "` was not bound");
+                                   plan.output_buffer + "` was not bound");
         runtime::attach_output(runs[i], *output);
     }
     return runs;
 }
+
+namespace {
+
+/// Shared immutable state captured by every variant closure.
+struct VariantContext {
+    device::DeviceModel device;
+    LaunchPlan plan;
+};
 
 }  // namespace
 
@@ -121,17 +117,18 @@ make_variants(const ir::Module& module, const std::string& kernel,
         variant.label = std::move(label);
         variant.aggressiveness = aggressiveness;
         variant.run = [program, tables, context](std::uint64_t seed) {
-            return run_one(*program, *tables, *context, seed,
+            return run_one(*program, *tables, context->plan,
+                           context->device, seed,
                            vm::ExecMode::Instrumented);
         };
         variant.run_fast = [program, tables, context](std::uint64_t seed) {
-            return run_one(*program, *tables, *context, seed,
-                           vm::ExecMode::Fast);
+            return run_one(*program, *tables, context->plan,
+                           context->device, seed, vm::ExecMode::Fast);
         };
         variant.run_batch =
             [program, tables, context](
                 const std::vector<std::uint64_t>& seeds) {
-                return run_many(*program, *tables, *context, seeds);
+                return run_many(*program, *tables, context->plan, seeds);
             };
         return variant;
     };

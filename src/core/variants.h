@@ -40,6 +40,25 @@ void bind_tables(const std::vector<TableBinding>& tables,
                  exec::ArgPack& args,
                  std::vector<std::unique_ptr<exec::Buffer>>& storage);
 
+/// Execute @p program for @p plan on input @p seed: bind the plan's
+/// inputs and @p tables, launch — priced under @p device in
+/// vm::ExecMode::Instrumented, unpriced in vm::ExecMode::Fast (the run's
+/// modeled_cycles stays 0) — and collect the plan's output buffer.
+/// Outputs are identical in both modes.
+runtime::VariantRun run_one(const vm::Program& program,
+                            const std::vector<TableBinding>& tables,
+                            const LaunchPlan& plan,
+                            const device::DeviceModel& device,
+                            std::uint64_t seed, vm::ExecMode mode);
+
+/// Execute @p program on every seed as one launch over the concatenated
+/// index space (vm::ExecMode::Fast, unpriced).  @p tables are bound once
+/// for the whole batch; outputs are identical to seeds.size() run_one
+/// calls, and a trapped member poisons only its own run.
+std::vector<runtime::VariantRun> run_many(
+    const vm::Program& program, const std::vector<TableBinding>& tables,
+    const LaunchPlan& plan, const std::vector<std::uint64_t>& seeds);
+
 /// Build the tuner-ready variant list: variants[0] is the exact kernel,
 /// followed by one variant per generated kernel (tables bound
 /// automatically).  All programs are compiled eagerly so launch-time work

@@ -74,45 +74,31 @@ ArgPack::find_shared(const std::string& name) const
 namespace {
 
 /// Innermost ambient cancel tokens for this thread; see CancelScope.
-thread_local const vm::CancelToken* tls_cancel_token = nullptr;
-thread_local const std::vector<const vm::CancelToken*>* tls_batch_tokens =
-    nullptr;
+thread_local CancelTokens tls_cancel_tokens;
 
 }  // namespace
 
-CancelScope::CancelScope(const vm::CancelToken* token)
-    : previous_(tls_cancel_token)
+CancelScope::CancelScope(CancelTokens tokens)
+    : previous_(tls_cancel_tokens)
 {
-    tls_cancel_token = token;
+    tls_cancel_tokens = tokens;
+}
+
+CancelScope::CancelScope(const vm::CancelToken* token)
+    : single_(token), previous_(tls_cancel_tokens)
+{
+    tls_cancel_tokens = CancelTokens(&single_, 1);
 }
 
 CancelScope::~CancelScope()
 {
-    tls_cancel_token = previous_;
+    tls_cancel_tokens = previous_;
 }
 
-BatchCancelScope::BatchCancelScope(
-    const std::vector<const vm::CancelToken*>* tokens)
-    : previous_(tls_batch_tokens)
+CancelTokens
+current_cancel_tokens()
 {
-    tls_batch_tokens = tokens;
-}
-
-BatchCancelScope::~BatchCancelScope()
-{
-    tls_batch_tokens = previous_;
-}
-
-const vm::CancelToken*
-current_cancel_token()
-{
-    return tls_cancel_token;
-}
-
-const std::vector<const vm::CancelToken*>*
-current_batch_cancel_tokens()
-{
-    return tls_batch_tokens;
+    return tls_cancel_tokens;
 }
 
 namespace {
@@ -200,120 +186,17 @@ geometry_for(const LaunchConfig& config, const std::array<int, 3>& num_groups,
     return geometry;
 }
 
-}  // namespace
-
-LaunchResult
-launch(const vm::Program& program, const ArgPack& args,
-       const LaunchConfig& config, LaunchObserver* observer)
+/// The one group scheduler behind launch() and launch_batch(): every
+/// group of every member is one task on the host pool, over the
+/// concatenated index space.  @p observer is only ever set for a
+/// one-member launch.
+std::vector<LaunchResult>
+schedule(const vm::Program& program, const std::vector<const ArgPack*>& batch,
+         const LaunchConfig& config, LaunchObserver* observer)
 {
     PARAPROX_CHECK(config.mode == vm::ExecMode::Instrumented ||
                        observer == nullptr,
                    "fast launches cannot attach a LaunchObserver");
-
-    // Resolve buffer and scalar arguments against the program signature.
-    const ResolvedArgs resolved = resolve_args(program, args);
-    const std::vector<vm::BufferView>& buffer_views = resolved.buffer_views;
-    const std::vector<std::int64_t>& shared_sizes = resolved.shared_sizes;
-    const std::vector<vm::Value>& scalar_args = resolved.scalar_args;
-
-    const std::array<int, 3> num_groups = resolve_num_groups(config);
-    const std::int64_t total_groups =
-        static_cast<std::int64_t>(num_groups[0]) * num_groups[1] *
-        num_groups[2];
-
-    // Explicit token beats the thread's ambient CancelScope.  Resolved
-    // here, on the launching thread, so the closure-shaped serving paths
-    // (which cannot thread a token through their signatures) still arm
-    // every launch they make.
-    const vm::CancelToken* cancel =
-        config.cancel ? config.cancel : current_cancel_token();
-
-    LaunchResult result;
-    result.groups_total = total_groups;
-    std::mutex merge_mutex;
-    // Raised by the first trapping (or cancelled) group and checked before
-    // each group starts, so a trap early in a large NDRange doesn't burn
-    // cycles executing the thousands of groups still queued behind it (the
-    // whole launch is discarded anyway once trapped).
-    std::atomic<bool> abort{false};
-    std::atomic<bool> trapped{false};
-    std::atomic<bool> cancelled{false};
-    std::atomic<std::int64_t> groups_completed{0};
-    std::string trap_message;
-
-    const auto start = std::chrono::steady_clock::now();
-
-    parallel_for(static_cast<std::size_t>(total_groups),
-                 [&](std::size_t group_linear) {
-        if (abort.load(std::memory_order_relaxed))
-            return;
-        // The abort flip happens under merge_mutex (like the trap path)
-        // so a group finishing concurrently can never merge stats after
-        // the launch is already cancelled.
-        const auto mark_cancelled = [&] {
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            cancelled.store(true, std::memory_order_relaxed);
-            abort.store(true, std::memory_order_relaxed);
-        };
-        if (cancel && cancel->cancelled()) {
-            mark_cancelled();
-            return;
-        }
-
-        const vm::GroupGeometry geometry = geometry_for(
-            config, num_groups, static_cast<std::int64_t>(group_linear));
-
-        std::unique_ptr<vm::MemoryListener> listener;
-        if (observer)
-            listener = observer->make_group_listener(group_linear);
-
-        vm::ExecStats group_stats;
-        vm::GroupRunner runner(program, buffer_views, scalar_args,
-                               shared_sizes, geometry, &group_stats,
-                               listener.get(), config.mode, cancel);
-        try {
-            runner.run();
-        } catch (const vm::CancelledError&) {
-            mark_cancelled();
-            return;
-        } catch (const vm::TrapError& trap) {
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            trapped.store(true, std::memory_order_relaxed);
-            if (!abort.exchange(true, std::memory_order_relaxed))
-                trap_message = trap.what();
-            return;
-        }
-        groups_completed.fetch_add(1, std::memory_order_relaxed);
-
-        // A group finishing after the trap landed contributes nothing: the
-        // launch result is discarded, so merging its stats (or feeding the
-        // observer) would only skew the abandoned measurement.
-        std::lock_guard<std::mutex> lock(merge_mutex);
-        if (abort.load(std::memory_order_relaxed))
-            return;
-        result.stats.merge(group_stats);
-        if (observer && listener)
-            observer->on_group_complete(*listener);
-    });
-
-    const auto end = std::chrono::steady_clock::now();
-    result.wall_seconds =
-        std::chrono::duration<double>(end - start).count();
-    result.trapped = trapped.load(std::memory_order_relaxed);
-    result.trap_message = trap_message;
-    result.cancelled = cancelled.load(std::memory_order_relaxed);
-    if (result.cancelled && cancel)
-        result.cancel_reason = cancel->reason();
-    result.groups_completed =
-        groups_completed.load(std::memory_order_relaxed);
-    return result;
-}
-
-std::vector<LaunchResult>
-launch_batch(const vm::Program& program,
-             const std::vector<const ArgPack*>& batch,
-             const LaunchConfig& config)
-{
     const std::size_t members = batch.size();
     if (members == 0)
         return {};
@@ -332,22 +215,26 @@ launch_batch(const vm::Program& program,
         static_cast<std::int64_t>(num_groups[0]) * num_groups[1] *
         num_groups[2];
 
-    // Per-member cancel tokens from the thread's ambient BatchCancelScope
-    // (member-order aligned).  A size mismatch disarms the scope rather
-    // than guessing which token belongs to whom.
-    const std::vector<const vm::CancelToken*>* scope_tokens =
-        current_batch_cancel_tokens();
-    if (scope_tokens && scope_tokens->size() != members)
-        scope_tokens = nullptr;
+    // Per-member cancel tokens from the thread's ambient CancelScope
+    // (member-order aligned), resolved here on the launching thread so
+    // the closure-shaped serving paths still arm every launch they make.
+    // A size mismatch disarms the scope rather than guessing which token
+    // belongs to whom.
+    CancelTokens scope_tokens = current_cancel_tokens();
+    if (scope_tokens.size() != members)
+        scope_tokens = {};
     const auto member_token = [&](std::size_t member)
         -> const vm::CancelToken* {
-        return scope_tokens ? (*scope_tokens)[member] : nullptr;
+        return scope_tokens.empty() ? nullptr : scope_tokens[member];
     };
 
     // One abort flag and stat sink per member: a trap (or a scatter-
     // cancel — only expired members stop) is a member-local event, not a
     // batch-wide one — the other members' requests must still be
-    // answered.
+    // answered.  The abort flag is raised by the member's first trapping
+    // (or cancelled) group and checked before each group starts, so a
+    // trap early in a large NDRange doesn't burn cycles executing the
+    // thousands of groups still queued behind it.
     struct MemberState {
         std::atomic<bool> abort{false};
         std::atomic<bool> trapped{false};
@@ -370,6 +257,9 @@ launch_batch(const vm::Program& program,
         if (state.abort.load(std::memory_order_relaxed))
             return;
         const vm::CancelToken* cancel = member_token(member);
+        // The abort flip happens under merge_mutex (like the trap path)
+        // so a group finishing concurrently can never merge stats after
+        // the member is already cancelled.
         const auto mark_cancelled = [&] {
             std::lock_guard<std::mutex> lock(merge_mutex);
             state.cancelled.store(true, std::memory_order_relaxed);
@@ -383,11 +273,16 @@ launch_batch(const vm::Program& program,
         const vm::GroupGeometry geometry =
             geometry_for(config, num_groups, group_linear);
 
+        std::unique_ptr<vm::MemoryListener> listener;
+        if (observer)
+            listener = observer->make_group_listener(group_linear);
+
         vm::ExecStats group_stats;
         vm::GroupRunner runner(program, resolved[member].buffer_views,
                                resolved[member].scalar_args,
                                resolved[member].shared_sizes, geometry,
-                               &group_stats, nullptr, config.mode, cancel);
+                               &group_stats, listener.get(), config.mode,
+                               cancel);
         try {
             runner.run();
         } catch (const vm::CancelledError&) {
@@ -402,10 +297,16 @@ launch_batch(const vm::Program& program,
         }
         state.groups_completed.fetch_add(1, std::memory_order_relaxed);
 
+        // A group finishing after the trap landed contributes nothing:
+        // the member's result is discarded, so merging its stats (or
+        // feeding the observer) would only skew the abandoned
+        // measurement.
         std::lock_guard<std::mutex> lock(merge_mutex);
         if (state.abort.load(std::memory_order_relaxed))
             return;
         state.stats.merge(group_stats);
+        if (observer && listener)
+            observer->on_group_complete(*listener);
     });
 
     const double wall =
@@ -431,6 +332,23 @@ launch_batch(const vm::Program& program,
         results[i].groups_total = member_groups;
     }
     return results;
+}
+
+}  // namespace
+
+LaunchResult
+launch(const vm::Program& program, const ArgPack& args,
+       const LaunchConfig& config, LaunchObserver* observer)
+{
+    return std::move(schedule(program, {&args}, config, observer).front());
+}
+
+std::vector<LaunchResult>
+launch_batch(const vm::Program& program,
+             const std::vector<const ArgPack*>& batch,
+             const LaunchConfig& config)
+{
+    return schedule(program, batch, config, nullptr);
 }
 
 }  // namespace paraprox::exec

@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,12 +29,6 @@ struct LaunchConfig {
     /// with a LaunchObserver (no listener callbacks) and reports only
     /// ExecStats::total_instructions.
     vm::ExecMode mode = vm::ExecMode::Instrumented;
-    /// Optional cooperative cancellation token.  When null, launch()
-    /// falls back to the thread's ambient CancelScope token (if any);
-    /// explicit always wins.  A fired token stops the launch within one
-    /// group round: queued groups are skipped, running groups bail at
-    /// their next control transfer, and no stats are merged.
-    const vm::CancelToken* cancel = nullptr;
 
     static LaunchConfig
     linear(int global, int local)
@@ -107,14 +102,27 @@ struct LaunchResult {
     std::int64_t groups_total = 0;
 };
 
-/// RAII ambient cancel token: every exec::launch this thread performs
-/// while the scope is alive observes @p token (unless the LaunchConfig
-/// carries its own).  This is how the serving layer arms per-request
-/// cancellation without threading a token through every Variant closure;
-/// nested scopes shadow, and the token is resolved at launch() entry on
-/// the launching thread (pool workers inherit it by capture).
+/// Cancel tokens for a launch's members, index-aligned with the members
+/// (a single launch is a batch of one).  Entries may be null
+/// (uncancellable member).
+using CancelTokens = std::span<const vm::CancelToken* const>;
+
+/// RAII ambient cancel tokens: every launch this thread performs while
+/// the scope is alive observes them.  This is how the serving layer arms
+/// per-request cancellation without threading a token through every
+/// Variant closure.  A launch of N members uses the tokens only when the
+/// scope holds exactly N; any other size disarms the scope for that
+/// launch (never misattributes a token), so an empty scope disarms every
+/// launch.  Nested scopes shadow, and the tokens are resolved at launch
+/// entry on the launching thread (pool workers inherit them by capture).
+/// A fired token stops its member within one group round: queued groups
+/// are skipped, running groups bail at their next control transfer, and
+/// no stats are merged.
 class CancelScope {
   public:
+    /// @p tokens must outlive the scope.
+    explicit CancelScope(CancelTokens tokens);
+    /// One-member scope: arms every single-member launch with @p token.
     explicit CancelScope(const vm::CancelToken* token);
     ~CancelScope();
 
@@ -122,32 +130,16 @@ class CancelScope {
     CancelScope& operator=(const CancelScope&) = delete;
 
   private:
-    const vm::CancelToken* previous_;
+    const vm::CancelToken* single_ = nullptr;
+    CancelTokens previous_;
 };
 
-/// Batch flavor: one token per batch member, index-aligned with the
-/// `batch` vector a launch_batch inside the scope receives.  A size
-/// mismatch disarms the scope for that launch (never misattributes a
-/// token).  Entries may be null (uncancellable member).
-class BatchCancelScope {
-  public:
-    explicit BatchCancelScope(
-        const std::vector<const vm::CancelToken*>* tokens);
-    ~BatchCancelScope();
+/// The innermost ambient tokens on this thread (empty when no scope is
+/// active).  Launches consult these; exposed for tests.
+CancelTokens current_cancel_tokens();
 
-    BatchCancelScope(const BatchCancelScope&) = delete;
-    BatchCancelScope& operator=(const BatchCancelScope&) = delete;
-
-  private:
-    const std::vector<const vm::CancelToken*>* previous_;
-};
-
-/// The innermost ambient tokens on this thread (null when no scope is
-/// active).  launch()/launch_batch() consult these; exposed for tests.
-const vm::CancelToken* current_cancel_token();
-const std::vector<const vm::CancelToken*>* current_batch_cancel_tokens();
-
-/// Execute @p program over @p config with @p args.
+/// Execute @p program over @p config with @p args: a one-member
+/// launch_batch that may carry a @p observer.
 ///
 /// Safety: vm::TrapError raised by any work-group aborts the launch and is
 /// reported via LaunchResult::trapped (output buffers may be partially
@@ -171,7 +163,8 @@ LaunchResult launch(const vm::Program& program, const ArgPack& args,
 /// batched launches serve, they do not price — each member's
 /// wall_seconds reports the whole batch's wall clock divided by the
 /// batch size (the amortized cost, which is the number a serving layer
-/// wants).
+/// wants).  Member i observes the ambient CancelScope's token i when the
+/// scope holds batch.size() tokens.
 std::vector<LaunchResult> launch_batch(
     const vm::Program& program, const std::vector<const ArgPack*>& batch,
     const LaunchConfig& config);

@@ -1,8 +1,6 @@
 #include "runtime/session.h"
 
 #include "ir/printer.h"
-#include "runtime/variant_run.h"
-#include "support/error.h"
 #include "vm/program_cache.h"
 
 namespace paraprox::runtime {
@@ -84,23 +82,8 @@ KernelSession::run_member(const SessionMember& member,
                           const core::LaunchPlan& plan, std::uint64_t seed,
                           vm::ExecMode mode) const
 {
-    PARAPROX_CHECK(plan.bind_inputs != nullptr,
-                   "LaunchPlan needs a bind_inputs callback");
-    exec::ArgPack args;
-    std::vector<std::unique_ptr<exec::Buffer>> storage;
-    plan.bind_inputs(seed, args, storage);
-    core::bind_tables(member.tables, args, storage);
-
-    VariantRun run = mode == vm::ExecMode::Fast
-                         ? run_fast_unpriced(*member.program, args,
-                                             plan.config)
-                         : run_priced(*member.program, args, plan.config,
-                                      options_.device);
-    const exec::Buffer* output = args.find_buffer(plan.output_buffer);
-    PARAPROX_CHECK(output, "LaunchPlan output buffer `" +
-                               plan.output_buffer + "` was not bound");
-    attach_output(run, *output);
-    return run;
+    return core::run_one(*member.program, member.tables, plan,
+                         options_.device, seed, mode);
 }
 
 std::vector<VariantRun>
@@ -108,32 +91,7 @@ KernelSession::run_member_batch(const SessionMember& member,
                                 const core::LaunchPlan& plan,
                                 const std::vector<std::uint64_t>& seeds) const
 {
-    PARAPROX_CHECK(plan.bind_inputs != nullptr,
-                   "LaunchPlan needs a bind_inputs callback");
-    exec::ArgPack base;
-    std::vector<std::unique_ptr<exec::Buffer>> storage;
-    core::bind_tables(member.tables, base, storage);
-
-    std::vector<exec::ArgPack> packs;
-    packs.reserve(seeds.size());
-    std::vector<const exec::ArgPack*> batch;
-    batch.reserve(seeds.size());
-    for (const std::uint64_t seed : seeds) {
-        packs.push_back(base);
-        plan.bind_inputs(seed, packs.back(), storage);
-        batch.push_back(&packs.back());
-    }
-
-    std::vector<VariantRun> runs =
-        run_batch_unpriced(*member.program, batch, plan.config);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const exec::Buffer* output =
-            packs[i].find_buffer(plan.output_buffer);
-        PARAPROX_CHECK(output, "LaunchPlan output buffer `" +
-                                   plan.output_buffer + "` was not bound");
-        attach_output(runs[i], *output);
-    }
-    return runs;
+    return core::run_many(*member.program, member.tables, plan, seeds);
 }
 
 std::vector<Variant>

@@ -69,22 +69,17 @@ class KernelSession {
     const std::string& kernel() const { return kernel_; }
     const core::CompileOptions& options() const { return options_; }
 
-    /// Execute one member for @p plan on input @p seed: binds the plan's
-    /// inputs, auto-binds the member's lookup tables, launches under the
-    /// session device model and collects the plan's output buffer.
-    /// vm::ExecMode::Fast skips the device pricing entirely (the run's
-    /// modeled_cycles stays 0); outputs are identical in both modes.
+    /// Execute one member for @p plan on input @p seed: core::run_one
+    /// over the member's program and lookup tables, priced under the
+    /// session device model.
     VariantRun run_member(const SessionMember& member,
                           const core::LaunchPlan& plan, std::uint64_t seed,
                           vm::ExecMode mode =
                               vm::ExecMode::Instrumented) const;
 
-    /// Batched serving entry point: execute one member on every seed as
-    /// a single launch over the concatenated index space (always
-    /// vm::ExecMode::Fast, unpriced).  The member's lookup tables are
-    /// bound once for the whole batch; outputs are identical to
-    /// seeds.size() run_member calls.  A trapped member run poisons only
-    /// its own VariantRun.
+    /// Batched serving entry point: core::run_many over the member's
+    /// program and lookup tables — one Fast launch for every seed,
+    /// outputs identical to seeds.size() run_member calls.
     std::vector<VariantRun> run_member_batch(
         const SessionMember& member, const core::LaunchPlan& plan,
         const std::vector<std::uint64_t>& seeds) const;

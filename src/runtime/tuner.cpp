@@ -294,41 +294,7 @@ Tuner::invoke(std::uint64_t input_seed)
 ServedRun
 Tuner::serve(std::uint64_t input_seed)
 {
-    int index;
-    bool degraded = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        PARAPROX_CHECK(calibrated_, "call calibrate() before serve()");
-        ++stats_.invocations;
-        index = resolve_serving_index_locked(&degraded);
-    }
-
-    ServedRun served;
-    served.run = execute(index, input_seed);
-    if (served.run.cancelled) {
-        // A cancelled run comes back as-is: no exact fallback (the
-        // request is being dropped or re-driven by the token's owner)
-        // and no breaker charge (the serving layer charges watchdog
-        // cancellations explicitly via record_failure).
-        served.index = index;
-        served.label = variants_[index].label;
-        return served;
-    }
-    if (served.run.trapped && index != 0) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            record_failure_locked(index);
-        }
-        served.run = execute(0, input_seed);
-        served.index = 0;
-        served.label = variants_[0].label;
-        served.trap_fallback = true;
-        return served;
-    }
-    served.index = index;
-    served.label = variants_[index].label;
-    served.degraded = degraded;
-    return served;
+    return std::move(serve_batch({input_seed}).runs.front());
 }
 
 BatchServed
@@ -347,28 +313,26 @@ Tuner::serve_batch(const std::vector<std::uint64_t>& input_seeds)
     batch.label = variants_[batch.index].label;
     batch.degraded = degraded;
 
-    // One concatenated launch when the variant can coalesce; per-seed
+    // One concatenated launch when several members can coalesce; per-seed
     // execution (same selection, no reselect between members) otherwise.
+    // A singleton keeps the plain run_fast launch: a batch of one has
+    // nothing to amortize.
     std::vector<VariantRun> runs;
-    if (serving_mode() == vm::ExecMode::Fast &&
+    if (input_seeds.size() > 1 && serving_mode() == vm::ExecMode::Fast &&
         variants_[batch.index].run_batch) {
         runs = variants_[batch.index].run_batch(input_seeds);
         PARAPROX_CHECK(runs.size() == input_seeds.size(),
                        "run_batch returned a short batch");
     } else {
-        // A single launch consults only the ambient single-member token,
-        // so arm each member's run with its own token from the caller's
-        // batch scope (aligned with input_seeds), and clear the batch
-        // scope so nothing inside one member's run can claim them all.
-        const std::vector<const vm::CancelToken*>* tokens =
-            exec::current_batch_cancel_tokens();
-        if (tokens && tokens->size() != input_seeds.size())
-            tokens = nullptr;
+        // Each member's launches consult a one-member scope, so arm each
+        // member's run with its own token from the caller's scope
+        // (aligned with input_seeds; disarmed on a size mismatch).
+        exec::CancelTokens tokens = exec::current_cancel_tokens();
+        if (tokens.size() != input_seeds.size())
+            tokens = {};
         runs.reserve(input_seeds.size());
         for (std::size_t i = 0; i < input_seeds.size(); ++i) {
-            exec::BatchCancelScope no_batch(nullptr);
-            exec::CancelScope member(tokens ? (*tokens)[i]
-                                            : exec::current_cancel_token());
+            exec::CancelScope member(tokens.empty() ? nullptr : tokens[i]);
             runs.push_back(execute(batch.index, input_seeds[i]));
         }
     }
@@ -380,8 +344,11 @@ Tuner::serve_batch(const std::vector<std::uint64_t>& input_seeds)
         batch.runs[i].index = batch.index;
         batch.runs[i].label = batch.label;
         batch.runs[i].degraded = degraded;
-        // Cancelled members are returned as-is (scatter-cancel: the
-        // token's owner resolves them); only genuine traps fall back.
+        // Cancelled members are returned as-is: no exact fallback (the
+        // request is being dropped or re-driven by the token's owner)
+        // and no breaker charge (the serving layer charges watchdog
+        // cancellations explicitly via record_failure).  Only genuine
+        // traps fall back.
         any_trapped |= batch.runs[i].run.trapped &&
                        !batch.runs[i].run.cancelled && batch.index != 0;
     }
@@ -393,6 +360,10 @@ Tuner::serve_batch(const std::vector<std::uint64_t>& input_seeds)
                     record_failure_locked(batch.index);
             }
         }
+        // Exact is the trusted tier: fallbacks run outside any cancel
+        // scope, at every batch size, and always finish on the VM's own
+        // instruction budget.
+        exec::CancelScope unarmed(exec::CancelTokens{});
         for (std::size_t i = 0; i < batch.runs.size(); ++i) {
             ServedRun& served = batch.runs[i];
             if (!served.run.trapped || served.run.cancelled)

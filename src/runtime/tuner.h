@@ -66,8 +66,9 @@ struct Variant {
     /// launch over the concatenated index space (vm::ExecMode::Fast,
     /// unpriced), returning one run per seed in order — lookup tables are
     /// bound once for the whole batch and a trapped member poisons only
-    /// its own run.  Used by Tuner::serve_batch when the serving mode is
-    /// Fast; when empty, batches fall back to per-seed execution.
+    /// its own run.  Used by Tuner::serve_batch for batches of two or
+    /// more when the serving mode is Fast; when empty, batches fall back
+    /// to per-seed execution.
     std::function<std::vector<VariantRun>(
         const std::vector<std::uint64_t>& input_seeds)>
         run_batch;
@@ -217,22 +218,22 @@ class Tuner {
                             std::string* served_label = nullptr,
                             int* served_index = nullptr);
 
-    /// Thread-safe serving path with full accounting: executes the
-    /// current selection adjusted for the degradation level, falls back
-    /// to exact on a trap (reporting the failure to the breaker), and
-    /// names the variant that actually produced the run.  run_selected()
-    /// is a thin wrapper over this.
+    /// Thread-safe serving path with full accounting: serve_batch() of
+    /// one seed.  run_selected() is a thin wrapper over this.
     ServedRun serve(std::uint64_t input_seed);
 
-    /// Coalesced serving path: resolve the selection (and the ladder)
-    /// once, then execute every seed against it — through the variant's
-    /// run_batch closure as one concatenated launch when the serving
-    /// mode is Fast and the closure exists, per-seed otherwise.  Counts
-    /// seeds.size() invocations.  Per-member semantics match serve():
-    /// each trapped member reports its failure to the breaker and is
-    /// re-served exact, without disturbing its batch-mates.  The
-    /// selection is held fixed across the batch; a breaker opened by a
-    /// mid-batch trap moves the *next* batch's selection.
+    /// The serving path: resolve the selection (and the ladder) once,
+    /// then execute every seed against it — through the variant's
+    /// run_batch closure as one concatenated launch when there are
+    /// several seeds, the serving mode is Fast and the closure exists,
+    /// per-seed otherwise (each seed under its own one-token
+    /// exec::CancelScope, taken from the caller's scope when that holds
+    /// one token per seed).  Counts seeds.size() invocations.  Each
+    /// trapped member reports its failure to the breaker and is
+    /// re-served exact outside any cancel scope, without disturbing its
+    /// batch-mates; a cancelled member comes back as-is.  The selection
+    /// is held fixed across the batch; a breaker opened by a mid-batch
+    /// trap moves the *next* batch's selection.
     BatchServed serve_batch(const std::vector<std::uint64_t>& input_seeds);
 
     /// Thread-safe: execute the exact kernel (variants[0]) on

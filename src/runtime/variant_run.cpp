@@ -2,36 +2,13 @@
 
 namespace paraprox::runtime {
 
-VariantRun
-run_priced(const vm::Program& program, const exec::ArgPack& args,
-           const exec::LaunchConfig& config,
-           const device::DeviceModel& device,
-           std::vector<float> output_placeholder)
-{
-    device::ModeledResult modeled =
-        device::run_modeled(program, args, config, device);
-    VariantRun run;
-    run.output = std::move(output_placeholder);
-    run.modeled_cycles = modeled.cycles;
-    run.modeled_bytes = modeled.cost.payload_bytes;
-    run.wall_seconds = modeled.launch.wall_seconds;
-    run.instructions = modeled.launch.stats.total_instructions;
-    run.trapped = modeled.launch.trapped;
-    run.cancelled = modeled.launch.cancelled;
-    run.groups_completed = modeled.launch.groups_completed;
-    run.groups_total = modeled.launch.groups_total;
-    return run;
-}
+namespace {
 
+/// The launch facts every VariantRun carries.
 VariantRun
-run_fast_unpriced(const vm::Program& program, const exec::ArgPack& args,
-                  exec::LaunchConfig config,
-                  std::vector<float> output_placeholder)
+from_launch(const exec::LaunchResult& launched)
 {
-    config.mode = vm::ExecMode::Fast;
-    exec::LaunchResult launched = exec::launch(program, args, config);
     VariantRun run;
-    run.output = std::move(output_placeholder);
     run.wall_seconds = launched.wall_seconds;
     run.instructions = launched.stats.total_instructions;
     run.trapped = launched.trapped;
@@ -41,23 +18,44 @@ run_fast_unpriced(const vm::Program& program, const exec::ArgPack& args,
     return run;
 }
 
+}  // namespace
+
+VariantRun
+run_priced(const vm::Program& program, const exec::ArgPack& args,
+           const exec::LaunchConfig& config,
+           const device::DeviceModel& device,
+           std::vector<float> output_placeholder)
+{
+    device::ModeledResult modeled =
+        device::run_modeled(program, args, config, device);
+    VariantRun run = from_launch(modeled.launch);
+    run.output = std::move(output_placeholder);
+    run.modeled_cycles = modeled.cycles;
+    run.modeled_bytes = modeled.cost.payload_bytes;
+    return run;
+}
+
+VariantRun
+run_fast_unpriced(const vm::Program& program, const exec::ArgPack& args,
+                  exec::LaunchConfig config,
+                  std::vector<float> output_placeholder)
+{
+    config.mode = vm::ExecMode::Fast;
+    VariantRun run = from_launch(exec::launch(program, args, config));
+    run.output = std::move(output_placeholder);
+    return run;
+}
+
 std::vector<VariantRun>
 run_batch_unpriced(const vm::Program& program,
                    const std::vector<const exec::ArgPack*>& batch,
                    exec::LaunchConfig config)
 {
     config.mode = vm::ExecMode::Fast;
-    const std::vector<exec::LaunchResult> launched =
-        exec::launch_batch(program, batch, config);
-    std::vector<VariantRun> runs(launched.size());
-    for (std::size_t i = 0; i < launched.size(); ++i) {
-        runs[i].wall_seconds = launched[i].wall_seconds;
-        runs[i].instructions = launched[i].stats.total_instructions;
-        runs[i].trapped = launched[i].trapped;
-        runs[i].cancelled = launched[i].cancelled;
-        runs[i].groups_completed = launched[i].groups_completed;
-        runs[i].groups_total = launched[i].groups_total;
-    }
+    std::vector<VariantRun> runs;
+    for (const exec::LaunchResult& launched :
+         exec::launch_batch(program, batch, config))
+        runs.push_back(from_launch(launched));
     return runs;
 }
 

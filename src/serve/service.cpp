@@ -407,98 +407,52 @@ ApproxService::update_pressure(std::size_t depth, int weight)
     }
 }
 
-Response
-ApproxService::serve_one(KernelState& state, std::uint64_t seed,
-                         const vm::CancelToken* cancel)
+bool
+ApproxService::serve_detour(KernelState& state, Job& job)
 {
-    Response response;
-    if (state.recalibrating.load(std::memory_order_acquire) ||
-        state.awaiting_adoption.load(std::memory_order_acquire)) {
-        // The tuner is re-profiling (or a scale-out peer is, and this
-        // replica is waiting to adopt its publish): keep serving with
-        // the always-safe exact kernel rather than blocking (or
-        // dropping) the request.
-        response.run = state.tuner.run_exact(seed);
-        response.served_by = "exact";
-        metrics_.exact_while_recalibrating.fetch_add(
-            1, std::memory_order_relaxed);
-        return response;
-    }
-
+    // The tuner is re-profiling (or a scale-out peer is, and this replica
+    // is waiting to adopt its publish): keep serving with the always-safe
+    // exact kernel rather than blocking (or dropping) the request.
+    const bool exact_only =
+        state.recalibrating.load(std::memory_order_acquire) ||
+        state.awaiting_adoption.load(std::memory_order_acquire);
     // Half-open probing: when a quarantined variant's cooldown has
     // elapsed, ride a paced sample of requests to re-test it off the
     // client path.  The client always gets the exact output — a probe
     // never exposes a suspect variant to a caller — while the probe run
     // decides reinstatement.
-    if (const int probe_index = state.tuner.probe_candidate();
-        probe_index > 0 && state.monitor.admit_probe()) {
-        response.run = state.tuner.run_exact(seed);
+    int probe_index = -1;
+    if (!exact_only) {
+        probe_index = state.tuner.probe_candidate();
+        if (probe_index <= 0 || !state.monitor.admit_probe())
+            return false;
+    }
+
+    // Detours run exact, outside any cancel scope or watchdog flight:
+    // exact is the trusted tier and always finishes on the VM's own
+    // instruction budget.
+    try {
+        Response response;
+        response.run = state.tuner.run_exact(job.seed);
         response.served_by = "exact";
-        const runtime::VariantRun probe =
-            state.tuner.run_probe(probe_index, seed);
-        const bool healthy =
-            !probe.trapped &&
-            runtime::quality_percent(state.metric, response.run.output,
-                                     probe.output) >= state.toq;
-        state.tuner.record_probe(probe_index, healthy);
-        return response;
+        if (exact_only) {
+            metrics_.exact_while_recalibrating.fetch_add(
+                1, std::memory_order_relaxed);
+        } else {
+            const runtime::VariantRun probe =
+                state.tuner.run_probe(probe_index, job.seed);
+            const bool healthy =
+                !probe.trapped &&
+                runtime::quality_percent(state.metric, response.run.output,
+                                         probe.output) >= state.toq;
+            state.tuner.record_probe(probe_index, healthy);
+        }
+        resolve_job(job, std::move(response));
+    } catch (...) {
+        job.promise.set_exception(std::current_exception());
+        finish_one();
     }
-
-    const auto start = std::chrono::steady_clock::now();
-    runtime::ServedRun served;
-    {
-        // The token is armed around the primary serve only: the detours
-        // above and the fallbacks below run exact, and exact is the
-        // trusted tier — it always finishes on the VM's own instruction
-        // budget.
-        exec::CancelScope scope(cancel);
-        served = state.tuner.serve(seed);
-    }
-    metrics_.launch_groups_completed.fetch_add(
-        static_cast<std::uint64_t>(served.run.groups_completed),
-        std::memory_order_relaxed);
-    if (served.run.cancelled && cancel != nullptr) {
-        bool hang_charged = false;
-        return finish_cancelled(state, seed, served, *cancel, hang_charged);
-    }
-    observe_launch_wall(
-        state, std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-                   .count());
-
-    response = take_served(served);
-    if (admit_shadow(state, served.index, response, seed))
-        shadow_audit(state, seed, served.index, response);
-    return response;
-}
-
-Response
-ApproxService::take_served(runtime::ServedRun& served)
-{
-    Response response;
-    response.run = std::move(served.run);
-    response.served_by = std::move(served.label);
-    response.degraded = served.degraded;
-    response.trap_fallback = served.trap_fallback;
-    if (served.trap_fallback)
-        metrics_.trap_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    if (served.degraded)
-        metrics_.degraded_serves.fetch_add(1, std::memory_order_relaxed);
-    return response;
-}
-
-bool
-ApproxService::admit_shadow(KernelState& state, int index,
-                            const Response& response, std::uint64_t seed)
-{
-    // Shadow only clean approximate runs: auditing exact against itself
-    // tells the monitor nothing, a trap fallback already reported its
-    // failure, and a degraded serve is *expected* to miss the TOQ — a
-    // deliberate load-shedding choice must not read as drift or count
-    // against the variant's breaker.  The short-circuit also keeps
-    // admit() from burning shadow slots on runs that cannot be audited.
-    return index != 0 && !response.trap_fallback && !response.degraded &&
-           state.monitor.admit(seed);
+    return true;
 }
 
 void
@@ -529,8 +483,8 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
     // with a reason instead of wasting launch capacity on answers nobody
     // reads.  The rest of the batch is unaffected.
     const auto now = std::chrono::steady_clock::now();
-    std::vector<Job*> live;
-    live.reserve(jobs.size());
+    std::vector<Job*> fresh;
+    fresh.reserve(jobs.size());
     for (Job& job : jobs) {
         if (job.deadline && now >= *job.deadline) {
             metrics_.deadline_expired.fetch_add(1,
@@ -541,57 +495,28 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
             finish_one();
             continue;
         }
-        live.push_back(&job);
+        fresh.push_back(&job);
+    }
+    // Then each member's exact detour, if it has one; everyone left is
+    // served through one watchdog flight and one Tuner::serve_batch.
+    std::vector<Job*> live;
+    live.reserve(fresh.size());
+    for (Job* job : fresh) {
+        if (!serve_detour(state, *job))
+            live.push_back(job);
     }
     if (live.empty())
         return;
-
-    // Singleton, recalibration, and probe traffic takes the per-request
-    // path: exact-while-recalibrating and half-open probing are
-    // inherently per request (a probe rides one client request off the
-    // hot path), and a batch of one has nothing to amortize.
-    const bool watched = config_.watchdog.enabled;
-    if (live.size() == 1 ||
-        state.recalibrating.load(std::memory_order_acquire) ||
-        state.awaiting_adoption.load(std::memory_order_acquire) ||
-        state.tuner.probe_candidate() > 0) {
-        for (Job* job : live) {
-            // One flight per request on this path: requests run
-            // sequentially, so a shared registration would let earlier
-            // members' wall time count against later ones' hang ceiling.
-            std::shared_ptr<vm::CancelToken> token;
-            if (watched) {
-                token = std::make_shared<vm::CancelToken>();
-                WatchdogFlight flight;
-                flight.started = std::chrono::steady_clock::now();
-                flight.ceiling = hang_ceiling(state);
-                flight.members.push_back({token, job->deadline});
-                watchdog_.begin_flight(worker, std::move(flight));
-            }
-            try {
-                Response response =
-                    serve_one(state, job->seed, token.get());
-                if (watched)
-                    watchdog_.end_flight(worker);
-                resolve_job(*job, std::move(response));
-            } catch (...) {
-                if (watched)
-                    watchdog_.end_flight(worker);
-                job->promise.set_exception(std::current_exception());
-                finish_one();
-            }
-        }
-        return;
-    }
 
     std::vector<std::uint64_t> seeds;
     seeds.reserve(live.size());
     for (const Job* job : live)
         seeds.push_back(job->seed);
 
-    // One watchdog flight for the whole coalesced launch, one token per
-    // member in seeds order — the order launch_batch sees, which is what
-    // lets the sweep scatter-cancel exactly the expired members.
+    // One watchdog flight for the whole launch, one token per member in
+    // seeds order — the order the launch sees, which is what lets the
+    // sweep scatter-cancel exactly the expired members.
+    const bool watched = config_.watchdog.enabled;
     std::vector<std::shared_ptr<vm::CancelToken>> tokens;
     std::vector<const vm::CancelToken*> member_tokens;
     if (watched) {
@@ -612,7 +537,9 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
     const auto start = std::chrono::steady_clock::now();
     runtime::BatchServed batch;
     try {
-        exec::BatchCancelScope scope(watched ? &member_tokens : nullptr);
+        // The tokens are armed around the primary serve only; the
+        // detours above and every exact fallback run unarmed.
+        exec::CancelScope scope(member_tokens);
         batch = state.tuner.serve_batch(seeds);
     } catch (...) {
         if (watched)
@@ -643,7 +570,8 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
     std::vector<std::pair<std::size_t, Response>> deferred;
     for (std::size_t i = 0; i < live.size(); ++i) {
         runtime::ServedRun& served = batch.runs[i];
-        metrics_.batch_latency.record(amortized);
+        if (live.size() > 1)
+            metrics_.batch_latency.record(amortized);
         metrics_.launch_groups_completed.fetch_add(
             static_cast<std::uint64_t>(served.run.groups_completed),
             std::memory_order_relaxed);
@@ -658,8 +586,24 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
                                          *tokens[i], hang_charged));
             continue;
         }
-        Response response = take_served(served);
-        if (admit_shadow(state, served.index, response, live[i]->seed)) {
+        Response response;
+        response.run = std::move(served.run);
+        response.served_by = std::move(served.label);
+        response.degraded = served.degraded;
+        response.trap_fallback = served.trap_fallback;
+        if (served.trap_fallback)
+            metrics_.trap_fallbacks.fetch_add(1, std::memory_order_relaxed);
+        if (served.degraded)
+            metrics_.degraded_serves.fetch_add(1, std::memory_order_relaxed);
+        // Shadow only clean approximate runs: auditing exact against
+        // itself tells the monitor nothing, a trap fallback already
+        // reported its failure, and a degraded serve is *expected* to miss
+        // the TOQ — a deliberate load-shedding choice must not read as
+        // drift or count against the variant's breaker.  The
+        // short-circuit also keeps admit() from burning shadow slots on
+        // runs that cannot be audited.
+        if (served.index != 0 && !served.trap_fallback && !served.degraded &&
+            state.monitor.admit(live[i]->seed)) {
             deferred.emplace_back(i, std::move(response));
             continue;
         }

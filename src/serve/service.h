@@ -5,16 +5,20 @@
 /// runtime::Tuner — a single-caller object.  ApproxService is what turns
 /// that into a service: requests enter through per-kernel sharded queues
 /// with reject-on-full backpressure, worker threads pop whatever same-
-/// kernel backlog is queued (never waiting for more) and execute it as
-/// one concatenated launch against the kernel's currently selected
-/// variant, and a per-kernel QualityMonitor shadows a sample of requests
-/// with the exact kernel.  On sustained TOQ violation the monitor
-/// triggers an asynchronous recalibration (on the global ThreadPool) over
-/// the seeds that actually drifted; while it runs, the kernel's requests
-/// are served by the always-safe exact member, so nothing queued is ever
-/// dropped.
+/// kernel backlog is queued (never waiting for more) and serve it on one
+/// path — a request is a batch of one: expired members scatter, members
+/// with an exact detour (recalibration, an admitted half-open probe)
+/// take it, and everyone left runs through one watchdog flight and one
+/// Tuner::serve_batch against the kernel's currently selected variant,
+/// each member's cancel token armed around that call only.  A per-kernel
+/// QualityMonitor shadows a sample of requests with the exact kernel.
+/// On sustained TOQ violation the monitor triggers an asynchronous
+/// recalibration (on the global ThreadPool) over the seeds that actually
+/// drifted; while it runs, the kernel's requests are served by the
+/// always-safe exact member, so nothing queued is ever dropped.
 ///
-///     submit -> ShardedQueue[kernel] -> workers -> Tuner::serve_batch
+///     submit -> ShardedQueue[kernel] -> workers -> detours (exact)
+///                                         |-> Tuner::serve_batch
 ///                                         |-> QualityMonitor (per member)
 ///                                                |-> recalibrate (async)
 
@@ -379,25 +383,21 @@ class ApproxService {
     };
 
     void worker_loop(std::size_t worker_index);
-    /// Serve one request; @p cancel (may be null) is armed around the
-    /// primary tuner call only — exact detours (recalibration, probes,
-    /// trap and watchdog fallbacks) always run to completion.
-    Response serve_one(KernelState& state, std::uint64_t seed,
-                       const vm::CancelToken* cancel);
     /// Serve one popped batch (all jobs share a kernel): scatter expired
-    /// members to DeadlineExceeded, run the rest as one coalesced launch
-    /// registered with the watchdog under @p worker's slot, and resolve
-    /// every member's future — members needing no exact run first, then
-    /// the shadow audits and hung-launch re-serves, in member order.
+    /// members to DeadlineExceeded, take each remaining member's exact
+    /// detour (see serve_detour), serve the rest through one
+    /// Tuner::serve_batch registered with the watchdog under @p worker's
+    /// slot — each member's token armed around that call only — and
+    /// resolve every member's future: members needing no exact run
+    /// first, then the shadow audits and hung-launch re-serves, in member
+    /// order.
     void serve_batch(std::size_t worker, KernelState& state,
                      std::vector<Job>& jobs);
-    /// Move a clean ServedRun into a Response, counting trap fallbacks
-    /// and degraded serves.
-    Response take_served(runtime::ServedRun& served);
-    /// Whether to shadow-audit @p response (served by variant @p index):
-    /// one monitor admit() per clean approximate run.
-    static bool admit_shadow(KernelState& state, int index,
-                             const Response& response, std::uint64_t seed);
+    /// Serve @p job exact, outside any cancel scope, when the kernel is
+    /// recalibrating or awaiting adoption, or when a half-open probe is
+    /// due and the monitor admits one (the probe rides the job).  Returns
+    /// false when the job takes the primary path.
+    bool serve_detour(KernelState& state, Job& job);
     /// Run @p seed exact, score @p response against it, and feed the
     /// verdict to the variant's breaker and the kernel's monitor.
     void shadow_audit(KernelState& state, std::uint64_t seed, int index,

@@ -61,6 +61,27 @@ float_to_int_rz(float value)
     return static_cast<std::int32_t>(value);
 }
 
+/// Integer arithmetic wraps mod 2^32 (two's complement), like GPU
+/// hardware: computed through uint32 so overflow is defined behaviour
+/// rather than C++ signed-overflow UB.
+inline std::int32_t
+add32(std::int32_t a, std::int32_t b)
+{
+    return static_cast<std::int32_t>(std::uint32_t(a) + std::uint32_t(b));
+}
+
+inline std::int32_t
+sub32(std::int32_t a, std::int32_t b)
+{
+    return static_cast<std::int32_t>(std::uint32_t(a) - std::uint32_t(b));
+}
+
+inline std::int32_t
+mul32(std::int32_t a, std::int32_t b)
+{
+    return static_cast<std::int32_t>(std::uint32_t(a) * std::uint32_t(b));
+}
+
 /// Left shift through uint32 so a negative value or a shift producing a
 /// sign-bit change is well-defined (wraps mod 2^32, like GPU hardware).
 /// Shift counts are masked to 5 bits, matching NVIDIA/AMD ISA behaviour.
@@ -364,23 +385,31 @@ GroupRunner::run_item(ItemState& item, const std::array<int, 3>& local_id,
             break;
 
           case Opcode::AddI:
-            regs[instr.a].i = regs[instr.b].i + regs[instr.c].i;
+            regs[instr.a].i = add32(regs[instr.b].i, regs[instr.c].i);
             break;
           case Opcode::SubI:
-            regs[instr.a].i = regs[instr.b].i - regs[instr.c].i;
+            regs[instr.a].i = sub32(regs[instr.b].i, regs[instr.c].i);
             break;
           case Opcode::MulI:
-            regs[instr.a].i = regs[instr.b].i * regs[instr.c].i;
+            regs[instr.a].i = mul32(regs[instr.b].i, regs[instr.c].i);
             break;
           case Opcode::DivI:
             if (regs[instr.c].i == 0)
                 throw TrapError("integer division by zero");
-            regs[instr.a].i = regs[instr.b].i / regs[instr.c].i;
+            // INT_MIN / -1, the one quotient int32 cannot hold (x86
+            // raises SIGFPE for it), wraps to INT_MIN like every other op.
+            regs[instr.a].i =
+                regs[instr.c].i == -1
+                    ? sub32(0, regs[instr.b].i)
+                    : regs[instr.b].i / regs[instr.c].i;
             break;
           case Opcode::ModI:
             if (regs[instr.c].i == 0)
                 throw TrapError("integer modulo by zero");
-            regs[instr.a].i = regs[instr.b].i % regs[instr.c].i;
+            // INT_MIN % -1 overflows the same way; its wrapped value is 0.
+            regs[instr.a].i = regs[instr.c].i == -1
+                                  ? 0
+                                  : regs[instr.b].i % regs[instr.c].i;
             break;
           case Opcode::AddF:
             regs[instr.a].f = regs[instr.b].f + regs[instr.c].f;
@@ -395,7 +424,7 @@ GroupRunner::run_item(ItemState& item, const std::array<int, 3>& local_id,
             regs[instr.a].f = regs[instr.b].f / regs[instr.c].f;
             break;
           case Opcode::NegI:
-            regs[instr.a].i = -regs[instr.b].i;
+            regs[instr.a].i = sub32(0, regs[instr.b].i);
             break;
           case Opcode::NegF:
             regs[instr.a].f = -regs[instr.b].f;
@@ -609,7 +638,7 @@ GroupRunner::run_item(ItemState& item, const std::array<int, 3>& local_id,
                 old_word = atomic_rmw(word, [&](std::int32_t w) {
                     return is_float_elem
                                ? as_word(as_float(w) + operand.f)
-                               : w + operand.i;
+                               : add32(w, operand.i);
                 });
                 break;
               case Opcode::AtomMin:
@@ -628,7 +657,7 @@ GroupRunner::run_item(ItemState& item, const std::array<int, 3>& local_id,
                 break;
               case Opcode::AtomInc:
                 old_word = atomic_rmw(word, [](std::int32_t w) {
-                    return w + 1;
+                    return add32(w, 1);
                 });
                 break;
               case Opcode::AtomAnd:
@@ -734,7 +763,9 @@ GroupRunner::run_item(ItemState& item, const std::array<int, 3>& local_id,
               case Opcode::LdAddF: regs[instr.a].f = lhs.f + rhs.f; break;
               case Opcode::LdMulF: regs[instr.a].f = lhs.f * rhs.f; break;
               case Opcode::LdSubF: regs[instr.a].f = lhs.f - rhs.f; break;
-              default:             regs[instr.a].i = lhs.i + rhs.i; break;
+              default:
+                regs[instr.a].i = add32(lhs.i, rhs.i);
+                break;
             }
             break;
           }
@@ -751,7 +782,7 @@ GroupRunner::run_item(ItemState& item, const std::array<int, 3>& local_id,
                 value.f = regs[instr.b].f * regs[instr.c].f;
                 break;
               default:
-                value.i = regs[instr.b].i + regs[instr.c].i;
+                value.i = add32(regs[instr.b].i, regs[instr.c].i);
                 break;
             }
             regs[instr.d] = value;
@@ -780,9 +811,10 @@ GroupRunner::run_item(ItemState& item, const std::array<int, 3>& local_id,
             break;
           }
           case Opcode::MaddI: {
-            const std::int32_t product = regs[instr.b].i * regs[instr.c].i;
+            const std::int32_t product =
+                mul32(regs[instr.b].i, regs[instr.c].i);
             regs[instr.imm.i].i = product;
-            regs[instr.a].i = regs[instr.d].i + product;
+            regs[instr.a].i = add32(regs[instr.d].i, product);
             break;
           }
         }

@@ -151,6 +151,82 @@ TEST(VmNumericsTest, IntegerOverflowWraps)
               std::numeric_limits<std::int32_t>::min());
 }
 
+TEST(VmNumericsTest, IntMinDividedByMinusOneWraps)
+{
+    // The one int32 quotient that overflows: defined as two's-complement
+    // wrap (INT_MIN / -1 = INT_MIN, INT_MIN % -1 = 0), never a SIGFPE.
+    auto module = parser::parse_module(R"(
+        int q(int a, int b) { return a / b; }
+        int r(int a, int b) { return a % b; }
+    )");
+    const auto min_int = std::numeric_limits<std::int32_t>::min();
+    const std::vector<vm::Value> args = {vm::make_int(min_int),
+                                         vm::make_int(-1)};
+    EXPECT_EQ(vm::run_scalar_program(
+                  vm::compile_scalar_function(module, "q"), args).i,
+              min_int);
+    EXPECT_EQ(vm::run_scalar_program(
+                  vm::compile_scalar_function(module, "r"), args).i,
+              0);
+}
+
+TEST(VmNumericsTest, IntegerEdgeCasesMatchAcrossExecModes)
+{
+    // The same overflow and INT_MIN / -1 inputs through a launched kernel
+    // (plain and fused integer ops) must give the defined results,
+    // bit-identical in Instrumented and Fast mode.
+    auto module = parser::parse_module(R"(
+        __kernel void k(__global int* a, __global int* b,
+                        __global int* q, __global int* r,
+                        __global int* s, __global int* m) {
+            int i = get_global_id(0);
+            q[i] = a[i] / b[i];
+            r[i] = a[i] % b[i];
+            s[i] = a[i] + b[i];
+            m[i] = a[i] * b[i] + a[i];
+        }
+    )");
+    const auto program = vm::compile_kernel(module, "k");
+    const auto min_int = std::numeric_limits<std::int32_t>::min();
+    const auto max_int = std::numeric_limits<std::int32_t>::max();
+    const std::vector<std::int32_t> a = {min_int, min_int, max_int, -7};
+    const std::vector<std::int32_t> b = {-1, 1, 2, 3};
+    const std::vector<std::vector<std::int32_t>> expected = {
+        {min_int, min_int, max_int / 2, -2},  // q
+        {0, 0, 1, -1},                        // r
+        {max_int, min_int + 1, min_int + 1, -4},
+        {0, 0, max_int - 2, -28},             // m: a * b + a, wrapped
+    };
+    const char* outputs[] = {"q", "r", "s", "m"};
+
+    std::vector<std::vector<std::int32_t>> per_mode[2];
+    for (const vm::ExecMode mode :
+         {vm::ExecMode::Instrumented, vm::ExecMode::Fast}) {
+        Buffer in_a = Buffer::from_ints(a);
+        Buffer in_b = Buffer::from_ints(b);
+        std::vector<Buffer> outs;
+        outs.reserve(4);  // ArgPack holds Buffer pointers.
+        ArgPack args;
+        args.buffer("a", in_a).buffer("b", in_b);
+        for (const char* name : outputs) {
+            outs.push_back(Buffer::zeros_i32(a.size()));
+            args.buffer(name, outs.back());
+        }
+        LaunchConfig config = LaunchConfig::linear(4, 2);
+        config.mode = mode;
+        const auto result = exec::launch(program, args, config);
+        ASSERT_FALSE(result.trapped) << result.trap_message;
+        auto& got = per_mode[mode == vm::ExecMode::Fast];
+        for (std::size_t o = 0; o < outs.size(); ++o) {
+            got.emplace_back();
+            for (std::size_t i = 0; i < a.size(); ++i)
+                got.back().push_back(outs[o].get_int(i));
+            EXPECT_EQ(got.back(), expected[o]) << outputs[o];
+        }
+    }
+    EXPECT_EQ(per_mode[0], per_mode[1]);
+}
+
 TEST(VmNumericsTest, NegativeModuloFollowsC)
 {
     auto module = parser::parse_module("int f(int x) { return x % 3; }");

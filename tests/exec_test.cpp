@@ -290,10 +290,10 @@ TEST_F(CancelTest, PreCancelledTokenSkipsTheWholeLaunch)
     args.buffer("out", out);
     vm::CancelToken token;
     ASSERT_TRUE(token.cancel(vm::CancelReason::Deadline));
-    LaunchConfig config = LaunchConfig::linear(256, 32);
-    config.cancel = &token;
+    exec::CancelScope scope(&token);
 
-    const auto result = exec::launch(program, args, config);
+    const auto result =
+        exec::launch(program, args, LaunchConfig::linear(256, 32));
     EXPECT_TRUE(result.cancelled);
     EXPECT_EQ(result.cancel_reason, vm::CancelReason::Deadline);
     EXPECT_FALSE(result.trapped);
@@ -315,6 +315,17 @@ TEST_F(CancelTest, FirstCancelReasonWins)
     EXPECT_FALSE(token.cancel(vm::CancelReason::Deadline));
     EXPECT_TRUE(token.cancelled());
     EXPECT_EQ(token.reason(), vm::CancelReason::Watchdog);
+
+    // The launch reports the verdict that stood, through the scope.
+    auto program = counting_program();
+    Buffer out = Buffer::zeros_i32(64);
+    ArgPack args;
+    args.buffer("out", out);
+    exec::CancelScope scope(&token);
+    const auto result =
+        exec::launch(program, args, LaunchConfig::linear(64, 32));
+    EXPECT_TRUE(result.cancelled);
+    EXPECT_EQ(result.cancel_reason, vm::CancelReason::Watchdog);
 }
 
 TEST_F(CancelTest, MidLaunchCancelStopsWithinOneGroupRound)
@@ -355,48 +366,32 @@ TEST_F(CancelTest, MidLaunchCancelStopsWithinOneGroupRound)
     EXPECT_LT(result.groups_completed, result.groups_total);
 }
 
-TEST_F(CancelTest, ExplicitConfigTokenWinsOverAmbientScope)
-{
-    // An armed ambient token must not leak into a launch that carries
-    // its own: exact-fallback and shadow launches pass a fresh token (or
-    // run outside any scope) precisely so a cancelled request cannot
-    // cancel its own recovery path.
-    auto program = counting_program();
-    Buffer out = Buffer::zeros_i32(256);
-    ArgPack args;
-    args.buffer("out", out);
-
-    vm::CancelToken doomed;
-    doomed.cancel(vm::CancelReason::Deadline);
-    vm::CancelToken fresh;
-    exec::CancelScope scope(&doomed);
-    ASSERT_EQ(exec::current_cancel_token(), &doomed);
-
-    LaunchConfig config = LaunchConfig::linear(256, 32);
-    config.cancel = &fresh;
-    const auto result = exec::launch(program, args, config);
-    EXPECT_FALSE(result.cancelled);
-    EXPECT_EQ(result.groups_completed, result.groups_total);
-    for (int i = 0; i < 256; ++i)
-        ASSERT_EQ(out.get_int(i), 1225 + i);
-}
-
 TEST_F(CancelTest, ScopesRestoreOnExit)
 {
     vm::CancelToken outer_token;
-    EXPECT_EQ(exec::current_cancel_token(), nullptr);
+    EXPECT_TRUE(exec::current_cancel_tokens().empty());
     {
         exec::CancelScope outer(&outer_token);
-        EXPECT_EQ(exec::current_cancel_token(), &outer_token);
-        vm::CancelToken inner_token;
+        ASSERT_EQ(exec::current_cancel_tokens().size(), 1u);
+        EXPECT_EQ(exec::current_cancel_tokens()[0], &outer_token);
+        vm::CancelToken a;
+        vm::CancelToken b;
+        const std::vector<const vm::CancelToken*> pair = {&a, &b};
         {
-            exec::CancelScope inner(&inner_token);
-            EXPECT_EQ(exec::current_cancel_token(), &inner_token);
+            exec::CancelScope inner(pair);
+            ASSERT_EQ(exec::current_cancel_tokens().size(), 2u);
+            EXPECT_EQ(exec::current_cancel_tokens()[1], &b);
+            {
+                // An empty scope shadows too: it disarms every launch.
+                exec::CancelScope unarmed(exec::CancelTokens{});
+                EXPECT_TRUE(exec::current_cancel_tokens().empty());
+            }
+            EXPECT_EQ(exec::current_cancel_tokens()[0], &a);
         }
-        EXPECT_EQ(exec::current_cancel_token(), &outer_token);
+        ASSERT_EQ(exec::current_cancel_tokens().size(), 1u);
+        EXPECT_EQ(exec::current_cancel_tokens()[0], &outer_token);
     }
-    EXPECT_EQ(exec::current_cancel_token(), nullptr);
-    EXPECT_EQ(exec::current_batch_cancel_tokens(), nullptr);
+    EXPECT_TRUE(exec::current_cancel_tokens().empty());
 }
 
 TEST_F(CancelTest, BatchScopeScattersOnlyTheMarkedMember)
@@ -419,7 +414,7 @@ TEST_F(CancelTest, BatchScopeScattersOnlyTheMarkedMember)
     doomed.cancel(vm::CancelReason::Deadline);
     const std::vector<const vm::CancelToken*> tokens = {nullptr, &doomed,
                                                         nullptr};
-    exec::BatchCancelScope scope(&tokens);
+    exec::CancelScope scope(tokens);
     const auto results = exec::launch_batch(
         program, members, LaunchConfig::linear(256, 32));
 
@@ -460,13 +455,27 @@ TEST_F(CancelTest, BatchScopeSizeMismatchDisarms)
     vm::CancelToken doomed;
     doomed.cancel(vm::CancelReason::Deadline);
     const std::vector<const vm::CancelToken*> tokens = {&doomed, &doomed};
-    exec::BatchCancelScope scope(&tokens);
+    exec::CancelScope scope(tokens);
     const auto results =
         exec::launch_batch(program, members, LaunchConfig::linear(64, 8));
     ASSERT_EQ(results.size(), 3u);
     for (const auto& result : results) {
         EXPECT_FALSE(result.cancelled);
         EXPECT_EQ(result.groups_completed, result.groups_total);
+    }
+
+    // The same rule holds for a single launch, a batch of one: a
+    // two-token scope does not arm it.
+    const auto single = exec::launch(program, packs[0],
+                                     LaunchConfig::linear(64, 8));
+    EXPECT_FALSE(single.cancelled);
+    EXPECT_EQ(single.groups_completed, single.groups_total);
+
+    // And a one-token scope does not leak into a three-member batch.
+    exec::CancelScope one(&doomed);
+    for (const auto& result : exec::launch_batch(
+             program, members, LaunchConfig::linear(64, 8))) {
+        EXPECT_FALSE(result.cancelled);
     }
 }
 

@@ -12,12 +12,15 @@
 #include <future>
 #include <thread>
 
+#include "exec/launch.h"
+#include "parser/parser.h"
 #include "serve/metrics.h"
 #include "serve/monitor.h"
 #include "serve/queue.h"
 #include "serve/service.h"
 #include "serve/watchdog.h"
 #include "support/error.h"
+#include "vm/compiler.h"
 
 namespace paraprox::serve {
 namespace {
@@ -486,7 +489,10 @@ TEST(ApproxServiceTest, SubmitDuringRegisterResolvesEveryTicket)
         }
     });
 
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Register only once the submitter is running: a fixed sleep here
+    // lost the race on a loaded host, leaving no pre-registration submit.
+    while (unknown_rejects.load() == 0)
+        std::this_thread::yield();
     std::vector<Variant> variants;
     variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
     variants.push_back(fake_variant("good", 1, 0.1f, 100.0));
@@ -704,7 +710,7 @@ TEST(ApproxServiceTest, ConcurrentMixedKernels)
 
 TEST(ApproxServiceTest, ExactSelectionDoesNotConsumeMonitorWindow)
 {
-    // Regression: serve_one used to call monitor.admit() before checking
+    // Regression: the serve path used to call monitor.admit() before checking
     // the selection, burning the monitor's sampling slots on requests
     // that can never be audited (exact shadowed by exact says nothing).
     ApproxService service(small_service(2, 64));
@@ -1242,6 +1248,210 @@ TEST(ApproxServiceTest, UnshadowedBatchMateResolvesBeforeTheAudit)
     EXPECT_EQ(metrics.batch.max_size, 3u);
     EXPECT_EQ(metrics.shadow_runs, 1u);
     EXPECT_EQ(metrics.served, 4u);
+}
+
+/// @p variant plus a run_batch closure that serves each seed through
+/// `run` and records the batch size in @p sizes.
+Variant
+with_run_batch(Variant variant,
+               std::shared_ptr<std::vector<std::size_t>> sizes)
+{
+    variant.run_batch = [run = variant.run,
+                         sizes](const std::vector<std::uint64_t>& seeds) {
+        sizes->push_back(seeds.size());
+        std::vector<VariantRun> runs;
+        for (const std::uint64_t seed : seeds)
+            runs.push_back(run(seed));
+        return runs;
+    };
+    return variant;
+}
+
+/// Register a "park" kernel whose serving run blocks on @p gate, submit
+/// one request to it, and return once that request holds the service's
+/// only worker: the next submits queue up and pop as one batch.
+Ticket
+park_the_worker(ApproxService& service, const Gate& gate)
+{
+    auto plugged = std::make_shared<std::atomic<bool>>(false);
+    std::vector<Variant> variants;
+    variants.push_back(
+        {"exact", 0, [gate = gate.future(), plugged](std::uint64_t seed) {
+             if (seed >= 100) {  // Calibration never blocks.
+                 plugged->store(true);
+                 gate.wait();
+             }
+             return VariantRun{};
+         }});
+    service.register_kernel("park", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1});
+    Ticket parked = service.submit("park", 100);
+    EXPECT_TRUE(parked.accepted);
+    while (parked.accepted && !plugged->load())
+        std::this_thread::yield();
+    return parked;
+}
+
+TEST(ApproxServiceTest, PendingProbeStillCoalescesTheOtherMembers)
+{
+    // A pop of four while a half-open probe is pending: the member the
+    // monitor admits carries the probe (and gets the exact answer); the
+    // other three still ride one coalesced launch.
+    ServiceConfig config = small_service(1, 64);
+    config.quarantine.failure_threshold = 1;
+    config.quarantine.cooldown = 1;
+    ApproxService service(config);
+    auto sizes = std::make_shared<std::vector<std::size_t>>();
+    std::vector<Variant> variants;
+    variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
+    Variant flaky = fake_variant("flaky", 2, 0.1f, 100.0);
+    flaky.run = [inner = flaky.run](std::uint64_t seed) {
+        VariantRun run = inner(seed);
+        run.trapped = seed == 500;
+        return run;
+    };
+    variants.push_back(with_run_batch(std::move(flaky), sizes));
+    variants.push_back(
+        with_run_batch(fake_variant("steady", 1, 0.1f, 300.0), sizes));
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_EQ(service.kernel_snapshot("k").selected, "flaky");
+
+    // One trap opens flaky's breaker with a one-invocation cooldown; one
+    // more request lets the cooldown elapse.
+    EXPECT_TRUE(service.submit("k", 500).response.get().trap_fallback);
+    EXPECT_EQ(service.submit("k", 10).response.get().served_by, "steady");
+    ASSERT_TRUE(sizes->empty());
+
+    Gate park;
+    Ticket parked = park_the_worker(service, park);
+    std::vector<Ticket> tickets;
+    for (std::uint64_t seed = 20; seed < 24; ++seed) {
+        tickets.push_back(service.submit("k", seed));
+        ASSERT_TRUE(tickets.back().accepted);
+    }
+    park.open();
+    for (auto& ticket : tickets)
+        EXPECT_EQ(ticket.response.get().status, ServeStatus::Ok);
+    parked.response.get();
+    service.drain();
+
+    const auto snapshot = service.kernel_snapshot("k");
+    EXPECT_EQ(snapshot.tuner.probes, 1u);
+    // The three non-probe members were one launch of the selection.
+    ASSERT_EQ(sizes->size(), 1u);
+    EXPECT_EQ(sizes->front(), 3u);
+    const auto metrics = service.metrics().snapshot();
+    EXPECT_GT(metrics.batch.coalesced_requests, 0u);
+    EXPECT_EQ(metrics.batch_latency.count, 3u);
+}
+
+/// An exact variant that really launches, so it observes whatever
+/// cancel scope is ambient when it runs.
+Variant
+launching_exact()
+{
+    const auto module = parser::parse_module(R"(
+        __kernel void fill(__global float* out) {
+            out[get_global_id(0)] = 1.0f;
+        }
+    )");
+    auto program = std::make_shared<const vm::Program>(
+        vm::compile_kernel(module, "fill"));
+    return {"exact", 0, [program](std::uint64_t) {
+                exec::Buffer out = exec::Buffer::zeros_f32(64);
+                exec::ArgPack args;
+                args.buffer("out", out);
+                const exec::LaunchResult launched = exec::launch(
+                    *program, args, exec::LaunchConfig::linear(64, 32));
+                VariantRun run;
+                run.output = {out.get_float(0) + 1.0f, 10.0f};
+                run.modeled_cycles = 1000.0;
+                run.trapped = launched.trapped;
+                run.cancelled = launched.cancelled;
+                return run;
+            }};
+}
+
+/// Clean on calibration seeds (< 100); on a serving seed it waits for
+/// its ambient cancel token to fire — the deadline passing mid-launch —
+/// then traps.
+Variant
+trap_after_cancel()
+{
+    return {"trap-late", 1, [](std::uint64_t seed) {
+                VariantRun run;
+                run.output = {2.0f, 10.0f};
+                run.modeled_cycles = 100.0;
+                if (seed < 100)
+                    return run;
+                const exec::CancelTokens tokens =
+                    exec::current_cancel_tokens();
+                if (tokens.size() == 1 && tokens[0] != nullptr) {
+                    const auto give_up = std::chrono::steady_clock::now() +
+                                         std::chrono::seconds(10);
+                    while (!tokens[0]->cancelled() &&
+                           std::chrono::steady_clock::now() < give_up) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(1));
+                    }
+                }
+                run.trapped = true;
+                return run;
+            }};
+}
+
+TEST(ApproxServiceTest, TrapFallbackIgnoresAFiredDeadlineAtEveryBatchSize)
+{
+    // The deadline token is armed around the primary serve only: once
+    // the approximate run traps, the exact fallback runs outside any
+    // cancel scope and answers the client, for a singleton exactly as
+    // for the members of a coalesced batch.
+    ServiceConfig config = small_service(1, 16);
+    config.quarantine.failure_threshold = 100;
+    config.watchdog.hang_floor = std::chrono::hours(1);
+    ApproxService service(config);
+    std::vector<Variant> variants;
+    variants.push_back(launching_exact());
+    variants.push_back(trap_after_cancel());
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    ASSERT_EQ(service.kernel_snapshot("k").selected, "trap-late");
+
+    const auto expect_exact_fallback = [](Ticket& ticket) {
+        ASSERT_TRUE(ticket.accepted);
+        const Response response = ticket.response.get();
+        EXPECT_EQ(response.status, ServeStatus::Ok);
+        EXPECT_TRUE(response.trap_fallback);
+        EXPECT_EQ(response.served_by, "exact");
+        EXPECT_FALSE(response.run.cancelled);
+        ASSERT_EQ(response.run.output.size(), 2u);
+        EXPECT_FLOAT_EQ(response.run.output[0], 2.0f);
+    };
+
+    Ticket single = service.submit(
+        "k", 100, SubmitOptions::within(std::chrono::milliseconds(50)));
+    expect_exact_fallback(single);
+
+    // Two members popped together behind a parked worker.
+    Gate park;
+    Ticket parked = park_the_worker(service, park);
+    std::vector<Ticket> pair;
+    for (std::uint64_t seed = 101; seed < 103; ++seed) {
+        pair.push_back(service.submit(
+            "k", seed,
+            SubmitOptions::within(std::chrono::milliseconds(500))));
+    }
+    park.open();
+    for (auto& ticket : pair)
+        expect_exact_fallback(ticket);
+    parked.response.get();
+    service.drain();
+
+    const auto metrics = service.metrics().snapshot();
+    EXPECT_EQ(metrics.trap_fallbacks, 3u);
+    EXPECT_EQ(metrics.deadline_expired, 0u);
+    EXPECT_EQ(metrics.batch.max_size, 2u);
 }
 
 // ---- Watchdog ---------------------------------------------------------------

@@ -103,8 +103,9 @@ run_pass(const std::vector<CaseStudyFunction>& functions, int n)
 
         const auto plan = make_plan(n, function.lo, function.hi);
         start = std::chrono::steady_clock::now();
-        const auto warm = session.warm_tuner(
-            plan, runtime::Metric::MeanRelativeError, {11, 22});
+        const auto warm = runtime::warm_tuner(
+            session.family(plan, runtime::Metric::MeanRelativeError),
+            {11, 22});
         out.tuner_seconds += seconds_since(start);
         out.warm_tuners += warm.warm ? 1 : 0;
     }

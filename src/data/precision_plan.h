@@ -1,9 +1,9 @@
 /// @file
 /// PrecisionPlan: one per-buffer storage-precision assignment — the unit
 /// the data tier enumerates (transforms/precision_tx), calibrates
-/// (runtime/data_tier), persists (store, ArtifactKind::PrecisionCalibration)
-/// and serves.  Buffers not named by a plan stay exact, so the empty plan
-/// is the mandatory all-fp32 fallback.
+/// (runtime/data_tier), persists (as the plan of the data tier's
+/// calibration record) and serves.  Buffers not named by a plan stay
+/// exact, so the empty plan is the mandatory all-fp32 fallback.
 
 #pragma once
 

@@ -129,30 +129,27 @@ CalibrationPlane::publish(const std::string& kernel,
         return;
     Entry& entry = it->second;
 
-    const std::uint64_t current =
-        store_->fleet_calibration_version(entry.key);
-    if (current > entry.publish_base) {
+    store::FleetCalibrationArtifact artifact;
+    artifact.version = entry.publish_base + 1;
+    artifact.calibration = calibration;
+    artifact.quarantined = quarantined;
+    artifact.toq = entry.key.toq;
+    artifact.metric = entry.key.metric;
+    if (store_->save_fleet_calibration(entry.key, artifact)) {
+        ++stats_.published;
+        entry.seen_version = artifact.version;
+    } else if (store_->fleet_calibration_version(entry.key) >
+               entry.publish_base) {
         // The fleet moved underneath us: our lease expired mid-sweep and
-        // a peer (takeover) finished the event first.  Our sweep was
-        // redundant — adopt the fleet's record rather than clobbering a
-        // version peers may have already adopted.
+        // a peer (takeover) published this event's version first.  Our
+        // sweep was redundant — adopt the fleet's record rather than
+        // clobbering a version peers may have already adopted.
         ++stats_.redundant;
-        const auto artifact = store_->load_fleet_calibration(entry.key);
-        if (artifact &&
-            service_.adopt_calibration(kernel, artifact->calibration,
-                                       artifact->quarantined))
-            entry.seen_version = artifact->version;
-    } else {
-        store::FleetCalibrationArtifact artifact;
-        artifact.version = current + 1;
-        artifact.calibration = calibration;
-        artifact.quarantined = quarantined;
-        artifact.toq = entry.key.toq;
-        artifact.metric = entry.key.metric;
-        if (store_->save_fleet_calibration(entry.key, artifact)) {
-            ++stats_.published;
-            entry.seen_version = artifact.version;
-        }
+        const auto fleet = store_->load_fleet_calibration(entry.key);
+        if (fleet &&
+            service_.adopt_calibration(kernel, fleet->calibration,
+                                       fleet->quarantined))
+            entry.seen_version = fleet->version;
     }
     if (entry.lease_token != 0) {
         store_->release_lease(entry.key, config_.replica_id,

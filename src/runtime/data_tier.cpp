@@ -1,10 +1,12 @@
 #include "runtime/data_tier.h"
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <utility>
 
 #include "data/packed_buffer.h"
+#include "data/safety.h"
 #include "runtime/variant_run.h"
 #include "support/error.h"
 
@@ -184,7 +186,7 @@ build_data_tier(const KernelSession& session, const core::LaunchPlan& plan,
                 const DataTierOptions& options)
 {
     DataTier tier;
-    tier.safety = analyze_session(session);
+    const data::StorageSafety safety = analyze_session(session);
     auto context = make_context(session, plan);
 
     // One instrumented exact run: per-slot traffic counts for plan
@@ -200,7 +202,7 @@ build_data_tier(const KernelSession& session, const core::LaunchPlan& plan,
     exec::launch(*context->program, args, config, &observer);
 
     std::map<std::string, data::QuantParams> fitted;
-    for (const int slot : tier.safety.packable_slots()) {
+    for (const int slot : safety.packable_slots()) {
         const std::string& name =
             context->program->buffers[static_cast<std::size_t>(slot)].name;
         if (exec::Buffer* buffer = args.find_buffer(name))
@@ -209,7 +211,7 @@ build_data_tier(const KernelSession& session, const core::LaunchPlan& plan,
 
     tier.plans.push_back(exact_plan());
     auto enumerated = transforms::enumerate_precision_plans(
-        *context->program, tier.safety, observer.counts(), options.tx);
+        *context->program, safety, observer.counts(), options.tx);
     for (auto& enumerated_plan : enumerated) {
         for (auto& assignment : enumerated_plan.assignments) {
             if (assignment.codec == data::Codec::Int8) {
@@ -230,7 +232,7 @@ rebuild_data_tier(const KernelSession& session, const core::LaunchPlan& plan,
                   const std::vector<data::PrecisionPlan>& plans)
 {
     DataTier tier;
-    tier.safety = analyze_session(session);
+    const data::StorageSafety safety = analyze_session(session);
     const vm::Program& program = *session.members().front().program;
 
     // Stored plans must still satisfy the live safety analysis: a stale
@@ -241,7 +243,7 @@ rebuild_data_tier(const KernelSession& session, const core::LaunchPlan& plan,
             for (std::size_t slot = 0; slot < program.buffers.size();
                  ++slot) {
                 if (program.buffers[slot].name == assignment.buffer) {
-                    packable = tier.safety.packable(static_cast<int>(slot));
+                    packable = safety.packable(static_cast<int>(slot));
                     break;
                 }
             }
@@ -256,60 +258,79 @@ rebuild_data_tier(const KernelSession& session, const core::LaunchPlan& plan,
     return tier;
 }
 
-store::StoreKey
-data_calibration_key(const KernelSession& session, Metric metric,
-                     double toq_percent)
+void
+encode_precision_plans(store::ByteWriter& w,
+                       const std::vector<data::PrecisionPlan>& plans)
 {
-    store::StoreKey key = session.calibration_key(metric, toq_percent);
-    key.detail = "data-tier";
-    return key;
-}
-
-WarmDataTuner
-warm_data_tuner(const KernelSession& session, const core::LaunchPlan& plan,
-                Metric metric,
-                const std::vector<std::uint64_t>& training_seeds,
-                double toq_percent, int check_interval,
-                const DataTierOptions& options)
-{
-    WarmDataTuner out;
-    const double toq =
-        toq_percent < 0.0 ? session.options().toq : toq_percent;
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key = data_calibration_key(session, metric, toq);
-
-    if (store) {
-        if (const auto stored = store->load_precision_calibration(key)) {
-            DataTier tier = rebuild_data_tier(session, plan, stored->plans);
-            if (!tier.variants.empty()) {
-                auto tuner = std::make_unique<Tuner>(
-                    std::move(tier.variants), metric, toq, check_interval);
-                if (tuner->restore_calibration(stored->calibration)) {
-                    out.tuner = std::move(tuner);
-                    out.plans = std::move(tier.plans);
-                    out.safety = std::move(tier.safety);
-                    out.warm = true;
-                    return out;
-                }
-            }
+    w.u64(plans.size());
+    for (const auto& plan : plans) {
+        w.str(plan.label);
+        w.u64(plan.assignments.size());
+        for (const auto& assignment : plan.assignments) {
+            w.str(assignment.buffer);
+            w.u8(static_cast<std::uint8_t>(assignment.codec));
+            w.f32(assignment.quant.scale);
+            w.f32(assignment.quant.zero);
         }
     }
+}
 
-    DataTier tier = build_data_tier(session, plan, options);
-    out.plans = std::move(tier.plans);
-    out.safety = std::move(tier.safety);
-    out.tuner = std::make_unique<Tuner>(std::move(tier.variants), metric,
-                                        toq, check_interval);
-    out.tuner->calibrate(training_seeds);
-    if (store) {
-        store::PrecisionCalibrationArtifact artifact;
-        artifact.plans = out.plans;
-        artifact.calibration = out.tuner->calibration_state();
-        artifact.toq = toq;
-        artifact.metric = to_string(metric);
-        store->save_precision_calibration(key, artifact);
+std::optional<std::vector<data::PrecisionPlan>>
+decode_precision_plans(store::ByteReader& r)
+{
+    std::vector<data::PrecisionPlan> plans(r.count(1));
+    for (auto& plan : plans) {
+        plan.label = r.str();
+        plan.assignments.resize(r.count(1));
+        for (auto& assignment : plan.assignments) {
+            assignment.buffer = r.str();
+            const std::uint8_t codec = r.u8();
+            if (codec >= data::kNumCodecs)
+                return std::nullopt;
+            assignment.codec = static_cast<data::Codec>(codec);
+            assignment.quant.scale = r.f32();
+            assignment.quant.zero = r.f32();
+            // int8 decoding multiplies by the scale on every load.
+            if (assignment.codec == data::Codec::Int8 &&
+                !(std::isfinite(assignment.quant.scale) &&
+                  assignment.quant.scale > 0.0f &&
+                  std::isfinite(assignment.quant.zero)))
+                return std::nullopt;
+        }
     }
-    return out;
+    if (!r.ok() || plans.empty() || !plans.front().all_exact())
+        return std::nullopt;
+    return plans;
+}
+
+VariantFamily
+data_tier_family(const KernelSession& session, const core::LaunchPlan& plan,
+                 Metric metric, double toq_percent,
+                 const DataTierOptions& options)
+{
+    const double toq =
+        toq_percent < 0.0 ? session.options().toq : toq_percent;
+    VariantFamily family;
+    family.key = session.calibration_key(metric, toq);
+    family.key->detail = "data-tier";
+    family.metric = metric;
+    family.toq = toq;
+    family.build = [&session, plan, options](store::ByteWriter& w) {
+        DataTier tier = build_data_tier(session, plan, options);
+        encode_precision_plans(w, tier.plans);
+        return std::move(tier.variants);
+    };
+    family.rebuild = [&session, plan](store::ByteReader& r)
+        -> std::optional<std::vector<Variant>> {
+        const auto plans = decode_precision_plans(r);
+        if (!plans)
+            return std::nullopt;
+        DataTier tier = rebuild_data_tier(session, plan, *plans);
+        if (tier.variants.empty())
+            return std::nullopt;
+        return std::move(tier.variants);
+    };
+    return family;
 }
 
 }  // namespace paraprox::runtime

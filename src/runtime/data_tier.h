@@ -20,18 +20,19 @@
 ///
 /// Because precision plans are plain Variants, the whole Tuner stack —
 /// TOQ calibration, audits, backoff, quarantine breakers, degradation
-/// ladder — applies to them unchanged, and warm_data_tuner() persists the
-/// searched plans + calibration as one PrecisionCalibration artifact so a
+/// ladder — applies to them unchanged, and data_tier_family() persists
+/// the searched plans as the plan of an ordinary calibration record so a
 /// restart re-serves without a single profiling or calibration run.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "data/precision_plan.h"
-#include "data/safety.h"
+#include "runtime/family.h"
 #include "runtime/session.h"
 #include "runtime/tuner.h"
 #include "transforms/precision_tx.h"
@@ -52,7 +53,6 @@ struct DataTier {
     /// plans[0] is the all-exact plan (no assignments), index-aligned
     /// with `variants`.
     std::vector<data::PrecisionPlan> plans;
-    data::StorageSafety safety;
 };
 
 /// Enumerate, profile, and wrap precision plans for @p session's exact
@@ -70,28 +70,25 @@ DataTier rebuild_data_tier(const KernelSession& session,
                            const core::LaunchPlan& plan,
                            const std::vector<data::PrecisionPlan>& plans);
 
-/// warm_tuner() for the precision axis: restores a stored
-/// PrecisionCalibration artifact (zero profiling runs, zero calibration
-/// runs, zero plan search) or, cold, builds the tier, calibrates, and
-/// persists plans + calibration for the next process.
-struct WarmDataTuner {
-    std::unique_ptr<Tuner> tuner;
-    std::vector<data::PrecisionPlan> plans;  ///< plans[0] = all-exact.
-    data::StorageSafety safety;
-    bool warm = false;
-};
-WarmDataTuner warm_data_tuner(const KernelSession& session,
-                              const core::LaunchPlan& plan, Metric metric,
-                              const std::vector<std::uint64_t>&
-                                  training_seeds,
-                              double toq_percent = -1.0,
-                              int check_interval = 50,
-                              const DataTierOptions& options = {});
+void encode_precision_plans(store::ByteWriter& w,
+                            const std::vector<data::PrecisionPlan>& plans);
 
-/// The store key for this session's precision calibration (detail
-/// "data-tier", alongside the kernel-calibration key's "calibration").
-store::StoreKey data_calibration_key(const KernelSession& session,
-                                     Metric metric,
-                                     double toq_percent = -1.0);
+/// Decode encode_precision_plans's bytes, rejecting (nullopt) a codec
+/// byte out of range, an int8 scale that is not finite and positive or
+/// a non-finite zero point — corrupt quant params must never reach live
+/// packing — and a list whose plans[0] is not the all-exact plan.
+std::optional<std::vector<data::PrecisionPlan>>
+decode_precision_plans(store::ByteReader& r);
+
+/// @p session's precision tier over @p plan as a VariantFamily, persisted
+/// under the session's calibration key with detail "data-tier".  build()
+/// runs build_data_tier and writes its plans; rebuild() decodes stored
+/// plans and re-runs the live safety analysis (rebuild_data_tier), so a
+/// stale or tampered record that packs a pinned buffer is rejected.  The
+/// session must outlive the family's use.
+VariantFamily data_tier_family(const KernelSession& session,
+                               const core::LaunchPlan& plan, Metric metric,
+                               double toq_percent = -1.0,
+                               const DataTierOptions& options = {});
 
 }  // namespace paraprox::runtime

@@ -25,6 +25,40 @@ buffer_values(const exec::Buffer& buffer)
 
 }  // namespace
 
+void
+encode_joint_plan(store::ByteWriter& w, const JointPlan& plan)
+{
+    w.u64(plan.stage_names.size());
+    for (const auto& name : plan.stage_names)
+        w.str(name);
+    w.u64(plan.configs.size());
+    for (const auto& config : plan.configs) {
+        w.u64(config.size());
+        for (const auto& label : config)
+            w.str(label);
+    }
+}
+
+std::optional<JointPlan>
+decode_joint_plan(store::ByteReader& r)
+{
+    JointPlan plan;
+    plan.stage_names.resize(r.count(1));
+    for (auto& name : plan.stage_names)
+        name = r.str();
+    plan.configs.resize(r.count(1));
+    for (auto& config : plan.configs) {
+        config.resize(r.count(1));
+        for (auto& label : config)
+            label = r.str();
+        if (config.size() != plan.stage_names.size())
+            return std::nullopt;
+    }
+    if (!r.ok())
+        return std::nullopt;
+    return plan;
+}
+
 std::uint64_t
 joint_search_measurements()
 {
@@ -475,49 +509,40 @@ PipelineSession::calibration_key(Metric metric, double toq_percent) const
     return key;
 }
 
-PipelineSession::WarmTuner
-PipelineSession::warm_tuner(Metric metric,
-                            const std::vector<std::uint64_t>& training_seeds,
-                            double toq_percent, int check_interval,
-                            const JointSearchOptions& options)
+VariantFamily
+PipelineSession::family(Metric metric, double toq_percent,
+                        const JointSearchOptions& options)
 {
-    WarmTuner out;
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key = calibration_key(metric, toq_percent);
-
-    if (store) {
-        if (const auto stored = store->load_pipeline_calibration(key)) {
-            if (stored->stage_names == stats_->stage_names()) {
-                if (auto configs = configs_for(stored->configs)) {
-                    auto tuner = std::make_unique<Tuner>(
-                        variants_from(*configs), metric, toq_percent,
-                        check_interval);
-                    if (tuner->restore_calibration(stored->calibration)) {
-                        configs_ = std::move(*configs);
-                        search_info_ = {};
-                        out.tuner = std::move(tuner);
-                        out.warm = true;
-                    }
-                }
-            }
-        }
-    }
-    if (!out.warm) {
-        out.tuner = std::make_unique<Tuner>(joint_variants(options), metric,
-                                            toq_percent, check_interval);
-        out.tuner->calibrate(training_seeds);
-        if (store) {
-            store::PipelineCalibrationArtifact artifact;
-            artifact.stage_names = stats_->stage_names();
-            for (const JointConfig& config : configs_)
-                artifact.configs.push_back(config.labels);
-            artifact.calibration = out.tuner->calibration_state();
-            artifact.toq = toq_percent;
-            artifact.metric = to_string(metric);
-            store->save_pipeline_calibration(key, artifact);
-        }
-    }
-    return out;
+    VariantFamily family;
+    family.key = calibration_key(metric, toq_percent);
+    family.metric = metric;
+    family.toq = toq_percent;
+    family.build = [this, options](store::ByteWriter& w) {
+        std::vector<Variant> variants = joint_variants(options);
+        JointPlan plan;
+        plan.stage_names = stats_->stage_names();
+        for (const JointConfig& config : configs_)
+            plan.configs.push_back(config.labels);
+        encode_joint_plan(w, plan);
+        return variants;
+    };
+    family.rebuild = [this](store::ByteReader& r)
+        -> std::optional<std::vector<Variant>> {
+        const auto plan = decode_joint_plan(r);
+        if (!plan || plan->stage_names != stats_->stage_names())
+            return std::nullopt;
+        auto configs = configs_for(plan->configs);
+        // The tuner requires variants[0] to be the all-exact config.
+        if (!configs || configs->empty() ||
+            std::any_of(configs->front().members.begin(),
+                        configs->front().members.end(),
+                        [](int m) { return m != 0; }))
+            return std::nullopt;
+        configs_ = std::move(*configs);
+        search_info_ = {};
+        return variants_from(configs_);
+    };
+    return family;
 }
 
 }  // namespace paraprox::runtime

@@ -20,7 +20,7 @@
 /// dominated in both predicted cycles and per-stage aggressiveness are
 /// eliminated, and the survivors are capped fastest-predicted-first.
 ///
-///     Pipeline -> PipelineSession -> joint_variants()/warm_tuner()
+///     Pipeline -> PipelineSession -> joint_variants()/family()
 ///              -> Tuner (end-to-end TOQ).
 
 #pragma once
@@ -34,6 +34,7 @@
 
 #include "core/paraprox.h"
 #include "core/variants.h"
+#include "runtime/family.h"
 #include "runtime/session.h"
 #include "runtime/tuner.h"
 #include "store/artifact_store.h"
@@ -122,6 +123,21 @@ class PipelineStats {
     std::vector<std::atomic<std::uint64_t>> traps_;
 };
 
+/// A pipeline family's persisted plan: the stage names plus the
+/// per-stage member labels of every searched joint config,
+/// index-aligned with the calibration's profiles (configs[0] is the
+/// all-exact config).
+struct JointPlan {
+    std::vector<std::string> stage_names;
+    std::vector<std::vector<std::string>> configs;
+};
+
+void encode_joint_plan(store::ByteWriter& w, const JointPlan& plan);
+
+/// Structural decode of encode_joint_plan's bytes: nullopt on truncation
+/// or a config without exactly one label per stage.
+std::optional<JointPlan> decode_joint_plan(store::ByteReader& r);
+
 /// Process-wide count of per-stage cost-probe launches performed by
 /// joint searches.  A warm start must leave it unchanged — that is what
 /// "skips the joint search entirely" means, and what the warm-start
@@ -179,9 +195,9 @@ class PipelineSession {
     /// What the last search() decided; zeros before any search.
     const JointSearchInfo& search_info() const { return search_info_; }
 
-    /// The configurations backing the most recent joint_variants() /
-    /// warm_tuner() call, index-aligned with the tuner's variant list
-    /// (so tuner.selected_index() names configs()[i].members).
+    /// The configurations backing the most recent joint_variants() call
+    /// or family() build/rebuild, index-aligned with the tuner's variant
+    /// list (so tuner.selected_index() names configs()[i].members).
     const std::vector<JointConfig>& configs() const { return configs_; }
 
     /// Tuner-ready joint variant list: search() wrapped into Variant
@@ -210,19 +226,14 @@ class PipelineSession {
     /// fingerprint x pipeline name x device x TOQ x metric.
     store::StoreKey calibration_key(Metric metric, double toq_percent) const;
 
-    /// Joint tuner with a durable calibration tier.  With a global
-    /// ArtifactStore, a stored plan + calibration matching
-    /// calibration_key() is restored — zero joint-search probe runs,
-    /// zero calibration sweeps — and a cold search + calibration is
-    /// persisted for the next process.  Either way configs() is aligned
-    /// with the returned tuner's variants.
-    struct WarmTuner {
-        std::unique_ptr<Tuner> tuner;
-        bool warm = false;  ///< True when restored from the store.
-    };
-    WarmTuner warm_tuner(Metric metric,
-                         const std::vector<std::uint64_t>& training_seeds,
-                         double toq_percent, int check_interval = 50,
+    /// The joint variants as a VariantFamily persisted under
+    /// calibration_key(): build() runs the joint search and writes its
+    /// JointPlan; rebuild() restores the stored configs with zero probe
+    /// runs, rejecting a plan whose stage names differ, whose labels no
+    /// longer name members, or whose first config is not all-exact.
+    /// Either way configs() is aligned with the variants it returns.  The
+    /// family calls back into this session, which must outlive its use.
+    VariantFamily family(Metric metric, double toq_percent,
                          const JointSearchOptions& options = {});
 
   private:

@@ -126,28 +126,13 @@ KernelSession::calibration_key(Metric metric, double toq_percent) const
     return key;
 }
 
-KernelSession::WarmTuner
-KernelSession::warm_tuner(const core::LaunchPlan& plan, Metric metric,
-                          const std::vector<std::uint64_t>& training_seeds,
-                          double toq_percent, int check_interval) const
+VariantFamily
+KernelSession::family(const core::LaunchPlan& plan, Metric metric,
+                      double toq_percent) const
 {
-    WarmTuner out;
     const double toq = toq_percent < 0.0 ? options_.toq : toq_percent;
-    out.tuner = std::make_unique<Tuner>(variants(plan), metric, toq,
-                                        check_interval);
-
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key = calibration_key(metric, toq);
-    if (store) {
-        if (const auto stored = store->load_calibration(key))
-            out.warm = out.tuner->restore_calibration(*stored);
-    }
-    if (!out.warm) {
-        out.tuner->calibrate(training_seeds);
-        if (store)
-            store->save_calibration(key, out.tuner->calibration_state());
-    }
-    return out;
+    return fixed_family(variants(plan), metric, toq,
+                        calibration_key(metric, toq));
 }
 
 }  // namespace paraprox::runtime

@@ -11,7 +11,8 @@
 /// recompilation, and table buffers are auto-bound into the ArgPack on
 /// every run.
 ///
-///     ir::Module -> KernelSession -> variants()/tuner() -> calibrate.
+///     ir::Module -> KernelSession -> variants()/tuner() -> calibrate
+///                                 -> family() -> runtime::warm_tuner.
 
 #pragma once
 
@@ -22,6 +23,7 @@
 
 #include "core/paraprox.h"
 #include "core/variants.h"
+#include "runtime/family.h"
 #include "runtime/tuner.h"
 #include "store/artifact_store.h"
 #include "vm/bytecode.h"
@@ -103,20 +105,11 @@ class KernelSession {
     store::StoreKey calibration_key(Metric metric,
                                     double toq_percent = -1.0) const;
 
-    /// tuner() with a durable calibration tier.  Behaviour without a
-    /// global ArtifactStore is identical to tuner()+calibrate().  With
-    /// one, a stored calibration matching calibration_key() is restored
-    /// — skipping the profiling sweep; quality is re-validated on the
-    /// first audit — and a cold calibration is persisted for the next
-    /// process.
-    struct WarmTuner {
-        std::unique_ptr<Tuner> tuner;
-        bool warm = false;  ///< True when restored from the store.
-    };
-    WarmTuner warm_tuner(const core::LaunchPlan& plan, Metric metric,
-                         const std::vector<std::uint64_t>& training_seeds,
-                         double toq_percent = -1.0,
-                         int check_interval = 50) const;
+    /// variants(plan) as a VariantFamily persisted under
+    /// calibration_key(): the list is fixed, so the plan is empty and a
+    /// warm start (runtime::warm_tuner) restores only the calibration.
+    VariantFamily family(const core::LaunchPlan& plan, Metric metric,
+                         double toq_percent = -1.0) const;
 
   private:
     const ir::Module* module_;

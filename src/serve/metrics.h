@@ -41,7 +41,11 @@ class LatencyHistogram {
 
 /// Point-in-time view of the batch-size distribution.
 struct BatchSnapshot {
-    std::uint64_t batches = 0;    ///< Every pop, singletons included.
+    /// Every Tuner::serve_batch launch a worker made, singletons
+    /// included.  A batch is the group left after a pop's expired
+    /// members scattered and its detoured members ran exact alone; a pop
+    /// that leaves nobody is no batch.
+    std::uint64_t batches = 0;
     std::uint64_t coalesced = 0;  ///< Batches of size >= 2.
     /// Requests that rode a coalesced (size >= 2) batch.
     std::uint64_t coalesced_requests = 0;

@@ -59,20 +59,28 @@ ApproxService::~ApproxService()
     stop();
 }
 
-void
-ApproxService::install_kernel(std::unique_ptr<KernelState> state)
+bool
+ApproxService::register_family(
+    const std::string& name, const runtime::VariantFamily& family,
+    const std::vector<std::uint64_t>& training_seeds,
+    std::shared_ptr<const runtime::PipelineStats> pipeline_stats)
 {
-    // Calibration (already done by the callers) runs the instrumented
-    // closures regardless; the mode only governs how workers serve.
-    state->tuner.set_serving_mode(config_.exec_mode);
-    state->tuner.set_quarantine(config_.quarantine);
+    runtime::WarmTuner warm = runtime::warm_tuner(family, training_seeds);
+    auto state = std::make_unique<KernelState>(
+        name, std::move(warm.tuner), family.metric, family.toq,
+        config_.monitor, training_seeds);
+    state->pipeline_stats = std::move(pipeline_stats);
+
+    // Calibration (already done above) runs the instrumented closures
+    // regardless; the mode only governs how workers serve.
+    state->tuner->set_serving_mode(config_.exec_mode);
+    state->tuner->set_quarantine(config_.quarantine);
     // A service created while load shedding is already in effect brings
     // newly registered kernels onto the current ladder level.
     {
         std::lock_guard<std::mutex> lock(pressure_mutex_);
-        state->tuner.set_degradation_level(degradation_level_);
+        state->tuner->set_degradation_level(degradation_level_);
     }
-    const std::string name = state->name;
     std::lock_guard<std::mutex> lock(kernels_mutex_);
     PARAPROX_CHECK(kernels_.find(name) == kernels_.end(),
                    "kernel `" + name + "` is already registered");
@@ -80,6 +88,7 @@ ApproxService::install_kernel(std::unique_ptr<KernelState> state)
     // worker batching are all per kernel from here on.
     state->shard = queue_.add_shard();
     kernels_.emplace(name, std::move(state));
+    return warm.warm;
 }
 
 void
@@ -89,27 +98,12 @@ ApproxService::register_kernel(
     const std::vector<std::uint64_t>& training_seeds,
     std::optional<store::StoreKey> warm_key)
 {
-    auto state = std::make_unique<KernelState>(
-        name, std::move(variants), metric, toq_percent, config_.monitor,
-        training_seeds);
-
-    const auto store =
-        warm_key ? store::ArtifactStore::global() : nullptr;
-    bool warm = false;
-    if (store) {
-        if (const auto stored = store->load_calibration(*warm_key))
-            warm = state->tuner.restore_calibration(*stored);
-    }
-    if (warm) {
-        metrics_.warm_registrations.fetch_add(1,
-                                              std::memory_order_relaxed);
-    } else {
-        state->tuner.calibrate(training_seeds);
-        if (store)
-            store->save_calibration(*warm_key,
-                                    state->tuner.calibration_state());
-    }
-    install_kernel(std::move(state));
+    if (register_family(name,
+                        runtime::fixed_family(std::move(variants), metric,
+                                              toq_percent,
+                                              std::move(warm_key)),
+                        training_seeds))
+        metrics_.warm_registrations.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -119,48 +113,9 @@ ApproxService::register_pipeline(
     const std::vector<std::uint64_t>& training_seeds,
     const runtime::JointSearchOptions& search)
 {
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key =
-        session.calibration_key(metric, toq_percent);
-
-    // Warm path: rebuild the stored plan's joint variants directly —
-    // variant construction itself must skip the search (zero probe
-    // runs), not just the calibration sweep.
-    std::unique_ptr<KernelState> state;
-    if (store) {
-        if (const auto stored = store->load_pipeline_calibration(key);
-            stored && stored->stage_names == session.stage_names()) {
-            if (auto configs = session.configs_for(stored->configs)) {
-                auto candidate = std::make_unique<KernelState>(
-                    name, session.variants_from(*configs), metric,
-                    toq_percent, config_.monitor, training_seeds);
-                if (candidate->tuner.restore_calibration(
-                        stored->calibration)) {
-                    state = std::move(candidate);
-                    metrics_.warm_pipelines.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-            }
-        }
-    }
-    if (!state) {
-        state = std::make_unique<KernelState>(
-            name, session.joint_variants(search), metric, toq_percent,
-            config_.monitor, training_seeds);
-        state->tuner.calibrate(training_seeds);
-        if (store) {
-            store::PipelineCalibrationArtifact artifact;
-            artifact.stage_names = session.stage_names();
-            for (const runtime::JointConfig& config : session.configs())
-                artifact.configs.push_back(config.labels);
-            artifact.calibration = state->tuner.calibration_state();
-            artifact.toq = toq_percent;
-            artifact.metric = to_string(metric);
-            store->save_pipeline_calibration(key, artifact);
-        }
-    }
-    state->pipeline_stats = session.stats();
-    install_kernel(std::move(state));
+    if (register_family(name, session.family(metric, toq_percent, search),
+                        training_seeds, session.stats()))
+        metrics_.warm_pipelines.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -170,48 +125,11 @@ ApproxService::register_data_kernel(
     double toq_percent, const std::vector<std::uint64_t>& training_seeds,
     const runtime::DataTierOptions& options)
 {
-    const auto store = store::ArtifactStore::global();
-    const store::StoreKey key =
-        runtime::data_calibration_key(session, metric, toq_percent);
-
-    // Warm path: rebuild variants from the stored plans — the rebuild
-    // re-runs the safety analysis, so a stale or tampered record that
-    // packs a pinned buffer falls through to a cold build instead.
-    std::unique_ptr<KernelState> state;
-    if (store) {
-        if (const auto stored = store->load_precision_calibration(key)) {
-            runtime::DataTier tier =
-                runtime::rebuild_data_tier(session, plan, stored->plans);
-            if (!tier.variants.empty()) {
-                auto candidate = std::make_unique<KernelState>(
-                    name, std::move(tier.variants), metric, toq_percent,
-                    config_.monitor, training_seeds);
-                if (candidate->tuner.restore_calibration(
-                        stored->calibration)) {
-                    state = std::move(candidate);
-                    metrics_.warm_data_tiers.fetch_add(
-                        1, std::memory_order_relaxed);
-                }
-            }
-        }
-    }
-    if (!state) {
-        runtime::DataTier tier =
-            runtime::build_data_tier(session, plan, options);
-        state = std::make_unique<KernelState>(
-            name, std::move(tier.variants), metric, toq_percent,
-            config_.monitor, training_seeds);
-        state->tuner.calibrate(training_seeds);
-        if (store) {
-            store::PrecisionCalibrationArtifact artifact;
-            artifact.plans = std::move(tier.plans);
-            artifact.calibration = state->tuner.calibration_state();
-            artifact.toq = toq_percent;
-            artifact.metric = to_string(metric);
-            store->save_precision_calibration(key, artifact);
-        }
-    }
-    install_kernel(std::move(state));
+    if (register_family(name,
+                        runtime::data_tier_family(session, plan, metric,
+                                                  toq_percent, options),
+                        training_seeds))
+        metrics_.warm_data_tiers.fetch_add(1, std::memory_order_relaxed);
 }
 
 ApproxService::KernelState*
@@ -342,7 +260,6 @@ ApproxService::worker_loop(std::size_t worker_index)
         // evidence, exactly as N singleton pops would have been.
         update_pressure(batch.items.size() + batch.remaining,
                         static_cast<int>(batch.items.size()));
-        metrics_.batch.record(batch.items.size());
 
         // Chaos-testing site: stall this worker, as a slow variant or a
         // noisy neighbour would, to pressure deadlines and the ladder.
@@ -403,7 +320,7 @@ ApproxService::update_pressure(std::size_t depth, int weight)
     if (new_level >= 0) {
         std::lock_guard<std::mutex> lock(kernels_mutex_);
         for (const auto& [name, state] : kernels_)
-            state->tuner.set_degradation_level(new_level);
+            state->tuner->set_degradation_level(new_level);
     }
 }
 
@@ -423,7 +340,7 @@ ApproxService::serve_detour(KernelState& state, Job& job)
     // decides reinstatement.
     int probe_index = -1;
     if (!exact_only) {
-        probe_index = state.tuner.probe_candidate();
+        probe_index = state.tuner->probe_candidate();
         if (probe_index <= 0 || !state.monitor.admit_probe())
             return false;
     }
@@ -433,19 +350,19 @@ ApproxService::serve_detour(KernelState& state, Job& job)
     // instruction budget.
     try {
         Response response;
-        response.run = state.tuner.run_exact(job.seed);
+        response.run = state.tuner->run_exact(job.seed);
         response.served_by = "exact";
         if (exact_only) {
             metrics_.exact_while_recalibrating.fetch_add(
                 1, std::memory_order_relaxed);
         } else {
             const runtime::VariantRun probe =
-                state.tuner.run_probe(probe_index, job.seed);
+                state.tuner->run_probe(probe_index, job.seed);
             const bool healthy =
                 !probe.trapped &&
                 runtime::quality_percent(state.metric, response.run.output,
                                          probe.output) >= state.toq;
-            state.tuner.record_probe(probe_index, healthy);
+            state.tuner->record_probe(probe_index, healthy);
         }
         resolve_job(job, std::move(response));
     } catch (...) {
@@ -459,7 +376,7 @@ void
 ApproxService::shadow_audit(KernelState& state, std::uint64_t seed,
                             int index, Response& response)
 {
-    const runtime::VariantRun exact = state.tuner.run_exact(seed);
+    const runtime::VariantRun exact = state.tuner->run_exact(seed);
     response.shadowed = true;
     response.shadow_quality = runtime::quality_percent(
         state.metric, exact.output, response.run.output);
@@ -469,7 +386,7 @@ ApproxService::shadow_audit(KernelState& state, std::uint64_t seed,
         // A quality failure counts against the variant's breaker just
         // like a trap: K sustained misses quarantine it even before the
         // monitor's slower drift trigger fires.
-        state.tuner.record_failure(index);
+        state.tuner->record_failure(index);
     }
     if (state.monitor.record(response.shadow_quality))
         trigger_recalibration(state, {});
@@ -534,13 +451,17 @@ ApproxService::serve_batch(std::size_t worker, KernelState& state,
         watchdog_.begin_flight(worker, std::move(flight));
     }
 
+    // The launch's size, not the pop's: expired and detoured members
+    // never ride it.  Counted before the launch, so one that throws
+    // still counts.
+    metrics_.batch.record(live.size());
     const auto start = std::chrono::steady_clock::now();
     runtime::BatchServed batch;
     try {
         // The tokens are armed around the primary serve only; the
         // detours above and every exact fallback run unarmed.
         exec::CancelScope scope(member_tokens);
-        batch = state.tuner.serve_batch(seeds);
+        batch = state.tuner->serve_batch(seeds);
     } catch (...) {
         if (watched)
             watchdog_.end_flight(worker);
@@ -641,10 +562,10 @@ ApproxService::finish_cancelled(KernelState& state, std::uint64_t seed,
         // breaker failures and gets quarantined, not re-served.
         metrics_.watchdog_cancels.fetch_add(1, std::memory_order_relaxed);
         if (!hang_charged && served.index > 0) {
-            state.tuner.record_failure(served.index);
+            state.tuner->record_failure(served.index);
             hang_charged = true;
         }
-        response.run = state.tuner.run_exact(seed);
+        response.run = state.tuner->run_exact(seed);
         response.served_by = "exact";
         response.watchdog_fallback = true;
         metrics_.watchdog_fallbacks.fetch_add(1,
@@ -741,7 +662,7 @@ ApproxService::adopt_calibration(const std::string& kernel,
 {
     KernelState* state = find_kernel(kernel);
     if (state == nullptr ||
-        !state->tuner.restore_calibration(calibration)) {
+        !state->tuner->restore_calibration(calibration)) {
         metrics_.adoption_rejects.fetch_add(1, std::memory_order_relaxed);
         return false;
     }
@@ -749,7 +670,7 @@ ApproxService::adopt_calibration(const std::string& kernel,
     // skipped by adopt_quarantine; the calibration itself was already
     // validated against the live variant list.
     for (const auto& label : quarantined)
-        state->tuner.adopt_quarantine(label);
+        state->tuner->adopt_quarantine(label);
     state->monitor.on_recalibrated();
     state->awaiting_adoption.store(false, std::memory_order_release);
     metrics_.adopted_calibrations.fetch_add(1, std::memory_order_relaxed);
@@ -819,7 +740,7 @@ ApproxService::trigger_recalibration(KernelState& state,
             seeds = state.training_seeds;
         bool recalibrated = true;
         try {
-            state.tuner.recalibrate(seeds);
+            state.tuner->recalibrate(seeds);
         } catch (...) {
             // An exact-kernel trap during re-profiling leaves the
             // previous selection standing; serving continues either way.
@@ -836,8 +757,8 @@ ApproxService::trigger_recalibration(KernelState& state,
             }
             if (publisher) {
                 try {
-                    publisher(state.name, state.tuner.calibration_state(),
-                              state.tuner.quarantined_labels());
+                    publisher(state.name, state.tuner->calibration_state(),
+                              state.tuner->quarantined_labels());
                 } catch (...) {
                     // Publishing is best-effort; peers fall back to
                     // their own lease-stealing recalibration.
@@ -901,14 +822,14 @@ ApproxService::snapshot_kernel(const KernelState& state) const
     KernelSnapshot out;
     out.kernel = state.name;
     out.queue_depth = queue_.shard_size(state.shard);
-    out.selected = state.tuner.selected_label_snapshot();
+    out.selected = state.tuner->selected_label_snapshot();
     out.recalibrating = state.recalibrating.load(std::memory_order_acquire);
     out.awaiting_adoption =
         state.awaiting_adoption.load(std::memory_order_acquire);
-    out.degradation_level = state.tuner.degradation_level();
-    out.tuner = state.tuner.stats_snapshot();
+    out.degradation_level = state.tuner->degradation_level();
+    out.tuner = state.tuner->stats_snapshot();
     out.monitor = state.monitor.snapshot();
-    out.breakers = state.tuner.breaker_snapshot();
+    out.breakers = state.tuner->breaker_snapshot();
     if (state.pipeline_stats) {
         const auto& stats = *state.pipeline_stats;
         out.stages.reserve(stats.num_stages());

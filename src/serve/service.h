@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "runtime/data_tier.h"
+#include "runtime/family.h"
 #include "runtime/pipeline.h"
 #include "runtime/tuner.h"
 #include "serve/metrics.h"
@@ -240,8 +241,9 @@ class ApproxService {
     /// Registering while serving is safe; re-registering a name is an
     /// error.  With a @p warm_key and a global ArtifactStore, a stored
     /// calibration matching the key skips the profiling sweep (the tuner
-    /// re-validates quality on its first audit); a cold calibration is
-    /// persisted under the key for the next process.
+    /// re-validates quality on its first audit,
+    /// metrics().warm_registrations); a cold calibration is persisted
+    /// under the key for the next process.
     /// KernelSession::calibration_key() produces the right key.
     void register_kernel(const std::string& name,
                          std::vector<runtime::Variant> variants,
@@ -256,11 +258,11 @@ class ApproxService {
     /// single kernels — one deadline covers the whole chain (a request
     /// is one joint execution), breakers quarantine joint configs, and
     /// kernel_snapshot() additionally attributes traps to stages.  With
-    /// a global ArtifactStore, a stored joint calibration under
-    /// session.calibration_key() restores the searched plan without any
-    /// probe runs (metrics().warm_pipelines) and a cold search +
-    /// calibration is persisted.  The session may be destroyed after
-    /// registration; the closures and stage stats outlive it.
+    /// a global ArtifactStore, session.family() restores a stored joint
+    /// plan + calibration without any probe runs
+    /// (metrics().warm_pipelines) or persists a cold search +
+    /// calibration.  The session may be destroyed after registration;
+    /// the closures and stage stats outlive it.
     void register_pipeline(const std::string& name,
                            runtime::PipelineSession& session,
                            runtime::Metric metric, double toq_percent,
@@ -273,10 +275,10 @@ class ApproxService {
     /// traffic-profiling run), each plan serves as an ordinary variant,
     /// so quarantine breakers and the degradation ladder apply to
     /// precision exactly as to algorithmic approximation.  With a global
-    /// ArtifactStore, a stored PrecisionCalibration under
-    /// runtime::data_calibration_key() restores plans + calibration with
-    /// zero profiling or search runs (metrics().warm_data_tiers); a cold
-    /// build is persisted.  The session may be destroyed afterwards.
+    /// ArtifactStore, runtime::data_tier_family() restores stored plans +
+    /// calibration with zero profiling or search runs
+    /// (metrics().warm_data_tiers) or persists a cold build.  The session
+    /// may be destroyed afterwards.
     void register_data_kernel(const std::string& name,
                               const runtime::KernelSession& session,
                               const core::LaunchPlan& plan,
@@ -343,18 +345,19 @@ class ApproxService {
 
   private:
     struct KernelState {
-        KernelState(std::string name_, std::vector<runtime::Variant> vs,
+        KernelState(std::string name_,
+                    std::unique_ptr<runtime::Tuner> tuner_,
                     runtime::Metric metric_, double toq_,
                     QualityMonitor::Config monitor_config,
                     std::vector<std::uint64_t> seeds)
             : name(std::move(name_)),
-              tuner(std::move(vs), metric_, toq_),
+              tuner(std::move(tuner_)),
               metric(metric_), toq(toq_),
               monitor(toq_, monitor_config),
               training_seeds(std::move(seeds)) {}
 
         const std::string name;
-        runtime::Tuner tuner;
+        const std::unique_ptr<runtime::Tuner> tuner;
         const runtime::Metric metric;
         const double toq;
         QualityMonitor monitor;
@@ -420,8 +423,15 @@ class ApproxService {
         const KernelState& state) const;
     /// Fold a clean launch wall clock into the kernel's EWMA.
     static void observe_launch_wall(KernelState& state, double seconds);
-    /// Shared registration tail: service-level tuner policy + insertion.
-    void install_kernel(std::unique_ptr<KernelState> state);
+    /// The one registration path behind every register_*: warm-start or
+    /// calibrate @p family's tuner (runtime::warm_tuner), apply the
+    /// service-level tuner policy, and install the kernel under @p name.
+    /// Returns true when the tuner was restored from the store.
+    bool register_family(const std::string& name,
+                         const runtime::VariantFamily& family,
+                         const std::vector<std::uint64_t>& training_seeds,
+                         std::shared_ptr<const runtime::PipelineStats>
+                             pipeline_stats = nullptr);
     /// Empty @p seeds: use the monitor's recent (drifted) seeds, then the
     /// registration seeds.
     void trigger_recalibration(KernelState& state,

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include "support/faultinject.h"
@@ -25,8 +25,6 @@ kind_prefix(ArtifactKind kind)
         case ArtifactKind::Program: return "prog";
         case ArtifactKind::Table: return "table";
         case ArtifactKind::Calibration: return "calib";
-        case ArtifactKind::PipelineCalibration: return "pcal";
-        case ArtifactKind::PrecisionCalibration: return "dcal";
         case ArtifactKind::FleetCalibration: return "fleet";
         case ArtifactKind::Lease: return "lease";
     }
@@ -282,25 +280,40 @@ decode_calibration_state(ByteReader& r,
 
 std::vector<std::uint8_t>
 encode_calibration(const StoreKey& key,
-                   const CalibrationArtifact& calibration)
+                   const CalibrationArtifact& artifact)
 {
     ByteWriter w;
     w.str(key.canonical());
-    encode_calibration_state(w, calibration);
+    w.str(std::string(artifact.plan.begin(), artifact.plan.end()));
+    encode_calibration_state(w, artifact.calibration);
+    w.f64(artifact.toq);
+    w.str(artifact.metric);
     return w.bytes();
 }
 
+/// Shared by the store's keyed load (@p expected_key set) and the
+/// inspection tool's unkeyed decode.  The plan bytes stay opaque here:
+/// only the family that wrote them can validate them.
 std::optional<CalibrationArtifact>
-decode_calibration(const StoreKey& key,
-                   const std::vector<std::uint8_t>& payload)
+decode_calibration(const std::vector<std::uint8_t>& payload,
+                   const std::string* expected_key, std::string* key_out)
 {
     ByteReader r(payload.data(), payload.size());
-    if (r.str() != key.canonical())
+    const std::string embedded = r.str();
+    if (key_out != nullptr)
+        *key_out = embedded;
+    if (expected_key != nullptr && embedded != *expected_key)
         return std::nullopt;
-    CalibrationArtifact calibration;
-    if (!decode_calibration_state(r, calibration) || !r.at_end())
+    CalibrationArtifact artifact;
+    const std::string plan = r.str();
+    artifact.plan.assign(plan.begin(), plan.end());
+    if (!decode_calibration_state(r, artifact.calibration))
         return std::nullopt;
-    return calibration;
+    artifact.toq = r.f64();
+    artifact.metric = r.str();
+    if (!r.at_end())
+        return std::nullopt;
+    return artifact;
 }
 
 std::vector<std::uint8_t>
@@ -392,173 +405,13 @@ next_lease_token()
     return (static_cast<std::uint64_t>(::getpid()) << 32) ^ serial;
 }
 
-std::vector<std::uint8_t>
-encode_pipeline_calibration(const StoreKey& key,
-                            const PipelineCalibrationArtifact& artifact)
-{
-    ByteWriter w;
-    w.str(key.canonical());
-    w.u64(artifact.stage_names.size());
-    for (const auto& name : artifact.stage_names)
-        w.str(name);
-    w.u64(artifact.configs.size());
-    for (const auto& config : artifact.configs) {
-        w.u64(config.size());
-        for (const auto& label : config)
-            w.str(label);
-    }
-    encode_calibration_state(w, artifact.calibration);
-    w.f64(artifact.toq);
-    w.str(artifact.metric);
-    return w.bytes();
-}
-
-/// Body shared by the store's keyed load and the inspection tool's
-/// unkeyed decode: @p r is positioned just past the canonical key.
-std::optional<PipelineCalibrationArtifact>
-decode_pipeline_calibration_body(ByteReader& r)
-{
-    PipelineCalibrationArtifact artifact;
-    const std::size_t name_count = r.count(1);
-    artifact.stage_names.resize(name_count);
-    for (auto& name : artifact.stage_names)
-        name = r.str();
-    const std::size_t config_count = r.count(1);
-    artifact.configs.resize(config_count);
-    for (auto& config : artifact.configs) {
-        const std::size_t label_count = r.count(1);
-        config.resize(label_count);
-        for (auto& label : config)
-            label = r.str();
-        if (config.size() != artifact.stage_names.size())
-            return std::nullopt;
-    }
-    if (!decode_calibration_state(r, artifact.calibration))
-        return std::nullopt;
-    artifact.toq = r.f64();
-    artifact.metric = r.str();
-    if (!r.at_end())
-        return std::nullopt;
-    // Every joint config must back one calibration profile and the
-    // mandatory all-exact config must exist.
-    if (artifact.configs.empty() ||
-        artifact.configs.size() != artifact.calibration.profiles.size())
-        return std::nullopt;
-    return artifact;
-}
-
-std::optional<PipelineCalibrationArtifact>
-decode_pipeline_calibration(const StoreKey& key,
-                            const std::vector<std::uint8_t>& payload)
-{
-    ByteReader r(payload.data(), payload.size());
-    if (r.str() != key.canonical())
-        return std::nullopt;
-    return decode_pipeline_calibration_body(r);
-}
-
-std::vector<std::uint8_t>
-encode_precision_calibration(const StoreKey& key,
-                             const PrecisionCalibrationArtifact& artifact)
-{
-    ByteWriter w;
-    w.str(key.canonical());
-    w.u64(artifact.plans.size());
-    for (const auto& plan : artifact.plans) {
-        w.str(plan.label);
-        w.u64(plan.assignments.size());
-        for (const auto& assignment : plan.assignments) {
-            w.str(assignment.buffer);
-            w.u8(static_cast<std::uint8_t>(assignment.codec));
-            w.f32(assignment.quant.scale);
-            w.f32(assignment.quant.zero);
-        }
-    }
-    encode_calibration_state(w, artifact.calibration);
-    w.f64(artifact.toq);
-    w.str(artifact.metric);
-    return w.bytes();
-}
-
-/// Body shared by the keyed load and the inspection tool: @p r is
-/// positioned just past the canonical key.
-std::optional<PrecisionCalibrationArtifact>
-decode_precision_calibration_body(ByteReader& r)
-{
-    PrecisionCalibrationArtifact artifact;
-    const std::size_t plan_count = r.count(1);
-    artifact.plans.resize(plan_count);
-    for (auto& plan : artifact.plans) {
-        plan.label = r.str();
-        const std::size_t assignment_count = r.count(1);
-        plan.assignments.resize(assignment_count);
-        for (auto& assignment : plan.assignments) {
-            assignment.buffer = r.str();
-            const std::uint8_t codec = r.u8();
-            if (codec >= data::kNumCodecs)
-                return std::nullopt;
-            assignment.codec = static_cast<data::Codec>(codec);
-            assignment.quant.scale = r.f32();
-            assignment.quant.zero = r.f32();
-            // A corrupt scale must not survive into live packing: int8
-            // decoding multiplies by it on every load.
-            if (assignment.codec == data::Codec::Int8 &&
-                !(std::isfinite(assignment.quant.scale) &&
-                  assignment.quant.scale > 0.0f &&
-                  std::isfinite(assignment.quant.zero)))
-                return std::nullopt;
-        }
-    }
-    if (!decode_calibration_state(r, artifact.calibration))
-        return std::nullopt;
-    artifact.toq = r.f64();
-    artifact.metric = r.str();
-    if (!r.at_end())
-        return std::nullopt;
-    // Plan/profile index alignment, and the all-exact fallback must lead.
-    if (artifact.plans.empty() ||
-        artifact.plans.size() != artifact.calibration.profiles.size() ||
-        !artifact.plans.front().all_exact())
-        return std::nullopt;
-    return artifact;
-}
-
-std::optional<PrecisionCalibrationArtifact>
-decode_precision_calibration(const StoreKey& key,
-                             const std::vector<std::uint8_t>& payload)
-{
-    ByteReader r(payload.data(), payload.size());
-    if (r.str() != key.canonical())
-        return std::nullopt;
-    return decode_precision_calibration_body(r);
-}
-
 }  // namespace
 
-std::optional<PipelineCalibrationArtifact>
-inspect_pipeline_calibration(const std::vector<std::uint8_t>& payload,
-                             std::string* key_out)
+std::optional<CalibrationArtifact>
+inspect_calibration(const std::vector<std::uint8_t>& payload,
+                    std::string* key_out)
 {
-    ByteReader r(payload.data(), payload.size());
-    const std::string key = r.str();
-    if (!r.ok())
-        return std::nullopt;
-    if (key_out)
-        *key_out = key;
-    return decode_pipeline_calibration_body(r);
-}
-
-std::optional<PrecisionCalibrationArtifact>
-inspect_precision_calibration(const std::vector<std::uint8_t>& payload,
-                              std::string* key_out)
-{
-    ByteReader r(payload.data(), payload.size());
-    const std::string key = r.str();
-    if (!r.ok())
-        return std::nullopt;
-    if (key_out)
-        *key_out = key;
-    return decode_precision_calibration_body(r);
+    return decode_calibration(payload, nullptr, key_out);
 }
 
 std::optional<FleetCalibrationArtifact>
@@ -687,60 +540,19 @@ ArtifactStore::load_calibration(const StoreKey& key) const
     const auto payload = load_payload(key, ArtifactKind::Calibration);
     if (!payload)
         return std::nullopt;
-    auto calibration = decode_calibration(key, *payload);
-    (calibration ? hits_ : corrupt_rejects_)
+    const std::string canonical = key.canonical();
+    auto artifact = decode_calibration(*payload, &canonical, nullptr);
+    (artifact ? hits_ : corrupt_rejects_)
         .fetch_add(1, std::memory_order_relaxed);
-    return calibration;
+    return artifact;
 }
 
 bool
 ArtifactStore::save_calibration(const StoreKey& key,
-                                const CalibrationArtifact& calibration) const
+                                const CalibrationArtifact& artifact) const
 {
     return save_payload(key, ArtifactKind::Calibration,
-                        encode_calibration(key, calibration));
-}
-
-std::optional<PipelineCalibrationArtifact>
-ArtifactStore::load_pipeline_calibration(const StoreKey& key) const
-{
-    const auto payload =
-        load_payload(key, ArtifactKind::PipelineCalibration);
-    if (!payload)
-        return std::nullopt;
-    auto artifact = decode_pipeline_calibration(key, *payload);
-    (artifact ? hits_ : corrupt_rejects_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return artifact;
-}
-
-bool
-ArtifactStore::save_pipeline_calibration(
-    const StoreKey& key, const PipelineCalibrationArtifact& artifact) const
-{
-    return save_payload(key, ArtifactKind::PipelineCalibration,
-                        encode_pipeline_calibration(key, artifact));
-}
-
-std::optional<PrecisionCalibrationArtifact>
-ArtifactStore::load_precision_calibration(const StoreKey& key) const
-{
-    const auto payload =
-        load_payload(key, ArtifactKind::PrecisionCalibration);
-    if (!payload)
-        return std::nullopt;
-    auto artifact = decode_precision_calibration(key, *payload);
-    (artifact ? hits_ : corrupt_rejects_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return artifact;
-}
-
-bool
-ArtifactStore::save_precision_calibration(
-    const StoreKey& key, const PrecisionCalibrationArtifact& artifact) const
-{
-    return save_payload(key, ArtifactKind::PrecisionCalibration,
-                        encode_precision_calibration(key, artifact));
+                        encode_calibration(key, artifact));
 }
 
 std::optional<FleetCalibrationArtifact>
@@ -762,8 +574,23 @@ ArtifactStore::save_fleet_calibration(
 {
     if (artifact.version == 0)
         return false;  // Reserved: "nothing published yet".
-    return save_payload(key, ArtifactKind::FleetCalibration,
-                        encode_fleet_calibration(key, artifact));
+    // The lock file is never unlinked: replacing it under a holder would
+    // let a second publisher lock a fresh inode and race the first.
+    const std::string lock_path =
+        path_for(key, ArtifactKind::FleetCalibration).string() + ".lock";
+    const int fd =
+        ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    if (fd < 0) {
+        write_failures_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+    }
+    bool saved = false;
+    if (::flock(fd, LOCK_EX) == 0 &&
+        fleet_calibration_version(key) < artifact.version)
+        saved = save_payload(key, ArtifactKind::FleetCalibration,
+                             encode_fleet_calibration(key, artifact));
+    ::close(fd);  // Releases the lock.
+    return saved;
 }
 
 std::uint64_t

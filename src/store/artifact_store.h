@@ -12,8 +12,8 @@
 ///   - memo::LookupTable contents with their TableConfig bit assignment,
 ///     consulted by core::compile_kernel before find_table_for_toq;
 ///   - calibrated runtime::VariantProfile sets with the fallback order
-///     and selection, restored into a Tuner by
-///     KernelSession::warm_tuner / serve::ApproxService::register_kernel.
+///     and selection, plus the plan that rebuilds the variant list,
+///     restored into a Tuner by runtime::warm_tuner.
 ///
 /// Records are keyed by ir::fingerprint(module) x kernel name x
 /// device-model id x TOQ x metric x store-format version (StoreKey); the
@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "data/precision_plan.h"
 #include "memo/table.h"
 #include "runtime/tuner.h"
 #include "store/format.h"
@@ -67,33 +66,13 @@ struct StoreStats {
     std::uint64_t write_failures = 0;
 };
 
-/// A persisted calibration: what Tuner::calibration_state() captures and
-/// Tuner::restore_calibration() re-validates and installs.
-using CalibrationArtifact = runtime::CalibrationState;
-
-/// A persisted joint pipeline calibration: the searched plan (per-stage
-/// member labels of every surviving joint config, index-aligned with the
-/// calibration's profiles) plus the tuner state over it.  Restoring one
-/// rebuilds the joint variant list without any cost probes and installs
-/// the calibration — a warm start skips the joint search entirely.
-struct PipelineCalibrationArtifact {
-    std::vector<std::string> stage_names;
-    /// configs[i][s] = member label of stage s in joint config i;
-    /// configs[0] is the all-exact config.
-    std::vector<std::vector<std::string>> configs;
-    runtime::CalibrationState calibration;
-    double toq = 0.0;
-    std::string metric;
-};
-
-/// A persisted data-tier precision calibration: every enumerated
-/// per-buffer codec plan (plans[0] is the mandatory all-exact fallback,
-/// with no assignments) with its fitted int8 quantization parameters,
-/// plus the tuner state over them, index-aligned plan <-> profile.
-/// Restoring one rebuilds the precision variant list without traffic
-/// profiling, quantization fitting, or any calibration runs.
-struct PrecisionCalibrationArtifact {
-    std::vector<data::PrecisionPlan> plans;
+/// A persisted local calibration of any variant family: the family's
+/// plan (opaque bytes its rebuild reads back to reproduce the variant
+/// list without searching — empty for a fixed list) plus what
+/// Tuner::calibration_state() captures and Tuner::restore_calibration()
+/// re-validates and installs.  runtime::warm_tuner is its one reader.
+struct CalibrationArtifact {
+    std::vector<std::uint8_t> plan;
     runtime::CalibrationState calibration;
     double toq = 0.0;
     std::string metric;
@@ -101,8 +80,9 @@ struct PrecisionCalibrationArtifact {
 
 /// A fleet-shared calibration, published once per drift event by the
 /// replica that won the drift lease and adopted by every peer.  The
-/// version is monotonic per key — only the lease holder writes, so a
-/// read-increment-write under the lease is race-free — and peers poll it
+/// version is monotonic per key — save_fleet_calibration writes each
+/// version at most once, so a holder whose lease expired mid-sweep
+/// cannot clobber the peer that stole it — and peers poll it
 /// (fleet_calibration_version) to detect a publish without paying a full
 /// decode.  Quarantine verdicts ride along so a variant one replica
 /// proved unsafe is benched fleet-wide.
@@ -140,24 +120,17 @@ class ArtifactStore {
     std::optional<CalibrationArtifact>
     load_calibration(const StoreKey& key) const;
     bool save_calibration(const StoreKey& key,
-                          const CalibrationArtifact& calibration) const;
-
-    std::optional<PipelineCalibrationArtifact>
-    load_pipeline_calibration(const StoreKey& key) const;
-    bool save_pipeline_calibration(
-        const StoreKey& key,
-        const PipelineCalibrationArtifact& artifact) const;
-
-    std::optional<PrecisionCalibrationArtifact>
-    load_precision_calibration(const StoreKey& key) const;
-    bool save_precision_calibration(
-        const StoreKey& key,
-        const PrecisionCalibrationArtifact& artifact) const;
+                          const CalibrationArtifact& artifact) const;
 
     // ---- Scale-out calibration plane ---------------------------------
 
     std::optional<FleetCalibrationArtifact>
     load_fleet_calibration(const StoreKey& key) const;
+    /// Compare-and-swap publish: writes @p artifact only while the
+    /// stored version is below artifact.version, checked and written
+    /// under an exclusive flock() on a per-key `.lock` file.  Of two
+    /// publishers racing for the same version exactly one succeeds; the
+    /// other gets false and finds the version moved.
     bool save_fleet_calibration(const StoreKey& key,
                                 const FleetCalibrationArtifact& artifact)
         const;
@@ -242,18 +215,12 @@ class ArtifactStore {
 StoreKey program_key(std::uint64_t fingerprint,
                      const std::string& kernel_name);
 
-/// Decode a pipeline-calibration payload without knowing its key (the
-/// embedded canonical key is reported through @p key_out instead of
-/// verified) — for inspection tools rendering arbitrary records.
-std::optional<PipelineCalibrationArtifact>
-inspect_pipeline_calibration(const std::vector<std::uint8_t>& payload,
-                             std::string* key_out);
-
-/// Unkeyed decode of a precision-calibration payload, for inspection
-/// tools rendering arbitrary records.
-std::optional<PrecisionCalibrationArtifact>
-inspect_precision_calibration(const std::vector<std::uint8_t>& payload,
-                              std::string* key_out);
+/// Decode a calibration payload without knowing its key (the embedded
+/// canonical key is reported through @p key_out instead of verified) —
+/// for inspection tools rendering arbitrary records.
+std::optional<CalibrationArtifact>
+inspect_calibration(const std::vector<std::uint8_t>& payload,
+                    std::string* key_out);
 
 /// Unkeyed decode of a fleet-calibration payload, for inspection tools.
 std::optional<FleetCalibrationArtifact>

@@ -201,8 +201,6 @@ probe_record(const std::vector<std::uint8_t>& file)
         (info.kind == ArtifactKind::Program ||
          info.kind == ArtifactKind::Table ||
          info.kind == ArtifactKind::Calibration ||
-         info.kind == ArtifactKind::PipelineCalibration ||
-         info.kind == ArtifactKind::PrecisionCalibration ||
          info.kind == ArtifactKind::FleetCalibration ||
          info.kind == ArtifactKind::Lease) &&
         info.payload_size == file.size() - kHeaderBytes &&

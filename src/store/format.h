@@ -23,9 +23,10 @@
 namespace paraprox::store {
 
 /// Bumped whenever any payload layout changes; records written by other
-/// versions are misses (the issue's invalidation rule: version mismatch
-/// never deserializes).
-constexpr std::uint32_t kFormatVersion = 1;
+/// versions are misses (version mismatch never deserializes).  Version 2
+/// folded the per-family calibration kinds into one Calibration record
+/// carrying opaque plan bytes.
+constexpr std::uint32_t kFormatVersion = 2;
 
 /// "PPXS" little-endian.
 constexpr std::uint32_t kMagic = 0x53585050u;
@@ -34,16 +35,12 @@ constexpr std::uint32_t kMagic = 0x53585050u;
 enum class ArtifactKind : std::uint32_t {
     Program = 1,      ///< vm::Program bytecode (canonical + fast streams).
     Table = 2,        ///< memo::LookupTable + TableConfig bit assignment.
-    Calibration = 3,  ///< VariantProfile set + fallback order + selection.
-    /// Joint pipeline calibration: stage names, the per-stage member
-    /// labels of every surviving joint config, and the tuner state over
-    /// them.  Restoring one skips the joint search entirely.
-    PipelineCalibration = 4,
-    /// Data-tier precision calibration: every enumerated per-buffer
-    /// storage-codec plan (with its int8 quantization parameters) plus
-    /// the tuner state over them.  Restoring one skips the traffic
-    /// profiling, quantization fitting, and precision search entirely.
-    PrecisionCalibration = 5,
+    /// A variant family's local calibration: the family's opaque plan
+    /// bytes (what rebuilds its variant list without searching) plus the
+    /// VariantProfile set, fallback order, selection, TOQ and metric.
+    Calibration = 3,
+    // 4 and 5 held the per-family pipeline and precision calibrations
+    // before format version 2.  Retired: never reuse them.
     /// Fleet-shared calibration published by the scale-out plane: a
     /// monotonically versioned CalibrationState plus the quarantine
     /// verdicts in force when it was published.  Replicas adopt a newer

@@ -712,24 +712,29 @@ TEST(DataTierTest, WarmRestartRestoresPlansWithZeroResearch)
     int cold_selected = 0;
     {
         TierFixture fx;
-        const runtime::WarmDataTuner cold = runtime::warm_data_tuner(
-            fx.session, fx.plan, runtime::Metric::MeanRelativeError,
-            seeds, 90.0);
+        const runtime::WarmTuner cold =
+            runtime::warm_tuner(runtime::data_tier_family(
+                                    fx.session, fx.plan,
+                                    runtime::Metric::MeanRelativeError, 90.0),
+                                seeds);
         EXPECT_FALSE(cold.warm);
-        ASSERT_GE(cold.plans.size(), 2u);
-        for (const auto& plan : cold.plans)
-            cold_labels.push_back(plan.label);
+        ASSERT_GE(cold.tuner->profiles().size(), 2u);
+        for (const auto& profile : cold.tuner->profiles())
+            cold_labels.push_back(profile.label);
         cold_selected = cold.tuner->selected_index();
     }
     {
         TierFixture fx;
-        const runtime::WarmDataTuner warm = runtime::warm_data_tuner(
-            fx.session, fx.plan, runtime::Metric::MeanRelativeError,
-            seeds, 90.0);
+        const runtime::WarmTuner warm =
+            runtime::warm_tuner(runtime::data_tier_family(
+                                    fx.session, fx.plan,
+                                    runtime::Metric::MeanRelativeError, 90.0),
+                                seeds);
         EXPECT_TRUE(warm.warm);
-        ASSERT_EQ(warm.plans.size(), cold_labels.size());
-        for (std::size_t i = 0; i < warm.plans.size(); ++i)
-            EXPECT_EQ(warm.plans[i].label, cold_labels[i]);
+        const auto restored = warm.tuner->calibration_state().profiles;
+        ASSERT_EQ(restored.size(), cold_labels.size());
+        for (std::size_t i = 0; i < restored.size(); ++i)
+            EXPECT_EQ(restored[i].label, cold_labels[i]);
         EXPECT_EQ(warm.tuner->selected_index(), cold_selected);
         // The restored tuner serves immediately.
         const runtime::VariantRun run = warm.tuner->invoke(5);

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -372,6 +373,11 @@ TEST_F(LeaseTest, FleetCalibrationVersioning)
     artifact.version = 1;
     ASSERT_TRUE(store.save_fleet_calibration(key, artifact));
     EXPECT_EQ(store.fleet_calibration_version(key), 1u);
+    // Each version is written once: a second publisher of version 1
+    // (a lease holder that lost its lease mid-sweep) cannot clobber it.
+    artifact.quarantined = {};
+    EXPECT_FALSE(store.save_fleet_calibration(key, artifact));
+    artifact.quarantined = {"good"};
 
     const auto loaded = store.load_fleet_calibration(key);
     ASSERT_TRUE(loaded.has_value());
@@ -534,11 +540,19 @@ struct PlaneHarness {
 
     PlaneHarness(const std::filesystem::path& dir, const std::string& id,
                  PlaneConfig config = {}, int approx_sleep_ms = 0)
+        : PlaneHarness(dir, id, std::move(config),
+                       fleet_variants(approx_sleep_ms))
+    {
+    }
+
+    PlaneHarness(const std::filesystem::path& dir, const std::string& id,
+                 PlaneConfig config, std::vector<Variant> variants)
         : store(std::make_shared<store::ArtifactStore>(dir)),
           service(InProcessReplica::small_config()),
           plane(service, store, with_id(std::move(config), id))
     {
-        register_fleet_kernel(service, approx_sleep_ms);
+        service.register_kernel("k", std::move(variants),
+                                Metric::MeanRelativeError, 90.0, {1, 2, 3});
         plane.track("k", fleet_key());
         plane.start();
     }
@@ -663,23 +677,47 @@ TEST_F(PlaneTest, LostLeasePublishIsRedundantNotClobbering)
     PlaneConfig slow;
     slow.watch_interval = std::chrono::milliseconds(10);
     slow.lease_ttl = std::chrono::milliseconds(30);
-    // Alpha's re-profiling sweep (sleeping variant) far outlives its
-    // lease: the fleet is entitled to treat it as dead.
-    PlaneHarness alpha(dir.path, "alpha", slow, /*approx_sleep_ms=*/40);
     PlaneConfig fast;
     fast.watch_interval = std::chrono::milliseconds(10);
+    // Handshakes, not sleeps, order the two sweeps.  Once armed, alpha's
+    // sweep holds on a latch that opens only after beta has stolen
+    // alpha's expired lease: the fleet is entitled to treat alpha as
+    // dead, and the two sweeps then run concurrently.  The hold is
+    // bounded so a failed assertion cannot wedge teardown.
+    auto armed = std::make_shared<std::atomic<bool>>(false);
+    std::promise<void> beta_won;
+    std::vector<Variant> held = fleet_variants();
+    held[1].run = [inner = held[1].run, armed,
+                   latch = beta_won.get_future().share()](
+                      std::uint64_t seed) {
+        if (armed->load())
+            latch.wait_for(std::chrono::seconds(10));
+        return inner(seed);
+    };
+    PlaneHarness alpha(dir.path, "alpha", slow, std::move(held));
     PlaneHarness beta(dir.path, "beta", fast);
+    armed->store(true);
 
     alpha.service.recalibrate_kernel("k");
     EXPECT_EQ(alpha.plane.stats().lease_wins, 1u);
 
-    // Wait out alpha's lease; beta's gate then steals it and runs its
-    // own sweep.  Whichever sweep completes second finds the fleet
-    // version moved: its publish must count itself redundant and adopt
-    // the winner's record instead of clobbering it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(35));
+    // Wait out alpha's lease; beta's gate then steals it.  Whichever
+    // sweep completes second finds the fleet version moved: its publish
+    // must count itself redundant and adopt the winner's record instead
+    // of clobbering it.
+    ASSERT_TRUE(wait_until([&] {
+        const auto lease = beta.store->read_lease(fleet_key());
+        const auto now_ms = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::system_clock::now().time_since_epoch())
+                .count());
+        return lease && lease->owner == "alpha" &&
+               now_ms > lease->expires_ms;
+    }));
     beta.service.recalibrate_kernel("k");
     EXPECT_EQ(beta.plane.stats().lease_wins, 1u);
+    if (beta.plane.stats().lease_wins == 1)
+        beta_won.set_value();
 
     ASSERT_TRUE(wait_until([&] {
         return alpha.plane.stats().redundant +

@@ -1,6 +1,6 @@
 // Pipeline composition tests: buffer wiring, joint-search determinism and
-// pruning invariants, config round-trips, the persisted joint-calibration
-// tier (round-trip, corruption, warm start), and serve integration.
+// pruning invariants, config round-trips, the persisted joint plan
+// (round-trip, warm start), and serve integration.
 
 #include <gtest/gtest.h>
 
@@ -307,51 +307,52 @@ TEST(JointCalibrationTest, ParallelMatchesSerialAndRepeats)
 }
 
 // -------------------------------------------------------------------------
-// Persisted joint calibrations: round-trip, corruption, warm start.
+// Persisted joint calibrations: round-trip, warm start.
 
 TEST(PipelineStoreTest, CalibrationRoundTripAndCorruptionMiss)
 {
+    // The joint plan rides the calibration record as its plan bytes.
+    // Corruption of those records (bit flips, truncation, hostile plans)
+    // is covered for every family kind by store_test's
+    // FamilyCorruptionTest.
     const auto dir = fresh_dir("roundtrip");
     store::ArtifactStore::configure_global(dir);
     vm::ProgramCache::global().clear();
 
     PipelineSession cold = make_image_session();
-    auto warm = cold.warm_tuner(Metric::L1Norm, {kSeedA, kSeedB}, 90.0, 10);
+    auto warm = runtime::warm_tuner(cold.family(Metric::L1Norm, 90.0),
+                                    {kSeedA, kSeedB}, 10);
     ASSERT_TRUE(warm.tuner != nullptr);
     EXPECT_FALSE(warm.warm);
 
     const auto key = cold.calibration_key(Metric::L1Norm, 90.0);
     const auto store = store::ArtifactStore::global();
     ASSERT_TRUE(store != nullptr);
-    const auto loaded = store->load_pipeline_calibration(key);
+    const auto loaded = store->load_calibration(key);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->stage_names, cold.stage_names());
     EXPECT_DOUBLE_EQ(loaded->toq, 90.0);
-    ASSERT_EQ(loaded->configs.size(), cold.configs().size());
-    for (std::size_t i = 0; i < loaded->configs.size(); ++i)
-        EXPECT_EQ(loaded->configs[i], cold.configs()[i].labels) << i;
+    EXPECT_EQ(loaded->metric, to_string(Metric::L1Norm));
+    store::ByteReader reader(loaded->plan.data(), loaded->plan.size());
+    const auto plan = decode_joint_plan(reader);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_TRUE(reader.at_end());
+    EXPECT_EQ(plan->stage_names, cold.stage_names());
+    ASSERT_EQ(plan->configs.size(), cold.configs().size());
+    ASSERT_EQ(plan->configs.size(), loaded->calibration.profiles.size());
+    for (std::size_t i = 0; i < plan->configs.size(); ++i)
+        EXPECT_EQ(plan->configs[i], cold.configs()[i].labels) << i;
     // configs[0] is the all-exact config even through the store.
-    for (const auto& label : loaded->configs[0])
+    for (const auto& label : plan->configs[0])
         EXPECT_EQ(label, "exact");
 
-    // inspect_pipeline_calibration (the tools/ path) decodes the same
-    // payload without an ArtifactStore.
-    const auto path =
-        store->path_for(key, store::ArtifactKind::PipelineCalibration);
-    ASSERT_TRUE(std::filesystem::exists(path));
-
-    // A flipped bit anywhere makes the record a miss, not garbage.
-    std::vector<char> bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    ASSERT_FALSE(bytes.empty());
-    bytes[bytes.size() / 2] ^= 0x40;
-    std::ofstream(path, std::ios::binary | std::ios::trunc)
-        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    EXPECT_FALSE(store->load_pipeline_calibration(key).has_value());
+    // A config without one label per stage does not decode.
+    JointPlan ragged = *plan;
+    ragged.configs.back().pop_back();
+    store::ByteWriter writer;
+    encode_joint_plan(writer, ragged);
+    store::ByteReader ragged_reader(writer.bytes().data(),
+                                    writer.bytes().size());
+    EXPECT_FALSE(decode_joint_plan(ragged_reader).has_value());
 
     store::ArtifactStore::disable_global();
     vm::ProgramCache::global().clear();
@@ -365,7 +366,8 @@ TEST(PipelineStoreTest, WarmStartSkipsJointSearch)
 
     PipelineSession cold = make_image_session();
     const auto probes_before_cold = joint_search_measurements();
-    auto cold_result = cold.warm_tuner(Metric::L1Norm, seeds, 90.0, 10);
+    auto cold_result =
+        runtime::warm_tuner(cold.family(Metric::L1Norm, 90.0), seeds, 10);
     EXPECT_FALSE(cold_result.warm);
     EXPECT_GT(joint_search_measurements(), probes_before_cold);
     const std::string cold_selection = cold_result.tuner->selected_label();
@@ -376,7 +378,8 @@ TEST(PipelineStoreTest, WarmStartSkipsJointSearch)
 
     PipelineSession warm = make_image_session();
     const auto probes_before_warm = joint_search_measurements();
-    auto warm_result = warm.warm_tuner(Metric::L1Norm, seeds, 90.0, 10);
+    auto warm_result =
+        runtime::warm_tuner(warm.family(Metric::L1Norm, 90.0), seeds, 10);
     EXPECT_TRUE(warm_result.warm);
     EXPECT_EQ(joint_search_measurements(), probes_before_warm)
         << "warm start must run zero joint-search probes";

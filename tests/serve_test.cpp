@@ -1342,8 +1342,58 @@ TEST(ApproxServiceTest, PendingProbeStillCoalescesTheOtherMembers)
     ASSERT_EQ(sizes->size(), 1u);
     EXPECT_EQ(sizes->front(), 3u);
     const auto metrics = service.metrics().snapshot();
-    EXPECT_GT(metrics.batch.coalesced_requests, 0u);
+    // Only the launch counts: the probe member ran exact alone.
+    EXPECT_EQ(metrics.batch.coalesced_requests, 3u);
+    EXPECT_EQ(metrics.batch.coalesced, 1u);
     EXPECT_EQ(metrics.batch_latency.count, 3u);
+}
+
+TEST(ApproxServiceTest, PopDuringRecalibrationCountsNoCoalescedRequest)
+{
+    // A pop of four while the kernel recalibrates: every member takes the
+    // exact detour alone, so nothing rode a coalesced launch and the
+    // batch metric must not say otherwise.
+    ApproxService service(small_service(1, 64));
+    Gate sweep;
+    auto sweeping = std::make_shared<std::atomic<bool>>(false);
+    std::vector<Variant> variants;
+    variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
+    Variant approx = fake_variant("approx", 1, 0.1f, 100.0);
+    approx.run = [inner = approx.run, gate = sweep.future(),
+                  sweeping](std::uint64_t seed) {
+        if (seed == 777) {  // Only the recalibration sweep blocks.
+            sweeping->store(true);
+            gate.wait();
+        }
+        return inner(seed);
+    };
+    variants.push_back(std::move(approx));
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1, 2, 3});
+    service.recalibrate_kernel("k", {777});
+    while (!sweeping->load())
+        std::this_thread::yield();
+    ASSERT_TRUE(service.kernel_snapshot("k").recalibrating);
+
+    Gate park;
+    Ticket parked = park_the_worker(service, park);
+    std::vector<Ticket> tickets;
+    for (std::uint64_t seed = 20; seed < 24; ++seed) {
+        tickets.push_back(service.submit("k", seed));
+        ASSERT_TRUE(tickets.back().accepted);
+    }
+    park.open();
+    for (auto& ticket : tickets)
+        EXPECT_EQ(ticket.response.get().served_by, "exact");
+    parked.response.get();
+
+    const auto metrics = service.metrics().snapshot();
+    EXPECT_EQ(metrics.exact_while_recalibrating, 4u);
+    EXPECT_EQ(metrics.batch.coalesced, 0u);
+    EXPECT_EQ(metrics.batch.coalesced_requests, 0u);
+    EXPECT_EQ(metrics.batch_latency.count, 0u);
+    sweep.open();
+    service.drain();
 }
 
 /// An exact variant that really launches, so it observes whatever

@@ -1,19 +1,31 @@
-// Tests for the on-disk artifact store: byte-exact round trips for all
-// three artifact kinds, corruption (truncation, bit flips, version bumps,
-// key-echo mismatches) degrading to a plain miss without crashing, and
-// the warm-start path selecting the same variant a cold calibration does
-// while skipping compilation, table search, and the profiling sweep.
+// Tests for the on-disk artifact store: byte-exact round trips for every
+// artifact kind, corruption (truncation, bit flips, version bumps,
+// key-echo mismatches) degrading to a plain miss without crashing, the
+// warm-start path selecting the same variant a cold calibration does
+// while skipping compilation, table search, and the profiling sweep, and
+// one corruption matrix run against every variant-family kind (plain
+// kernel, pipeline, data tier).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "device/memory_model.h"
 #include "memo/table.h"
 #include "parser/parser.h"
+#include "apps/pipelines.h"
+#include "runtime/data_tier.h"
+#include "runtime/family.h"
+#include "runtime/pipeline.h"
 #include "runtime/session.h"
 #include "serve/service.h"
 #include "store/artifact_store.h"
@@ -136,28 +148,25 @@ sample_table()
 CalibrationArtifact
 sample_calibration()
 {
-    CalibrationArtifact calibration;
-    calibration.profiles = {
+    CalibrationArtifact artifact;
+    artifact.calibration.profiles = {
         {"exact", 1.0, 1.0, 100.0, true, false},
         {"memo8", 3.5, 2.1, 96.25, true, false},
         {"memo4", 7.25, 4.0, 81.0, false, false},
         {"memo2", 0.0, 0.0, 0.0, false, true},
     };
-    calibration.fallback_order = {1, 0};
-    calibration.selected = 1;
-    return calibration;
-}
-
-PrecisionCalibrationArtifact
-sample_precision_calibration()
-{
-    // Plans must be index-aligned with the calibration profiles and lead
-    // with the all-exact plan (the decoder rejects anything else).
-    PrecisionCalibrationArtifact artifact;
-    artifact.calibration = sample_calibration();
+    artifact.calibration.fallback_order = {1, 0};
+    artifact.calibration.selected = 1;
     artifact.toq = 90.0;
     artifact.metric = "Mean relative error";
+    return artifact;
+}
 
+std::vector<data::PrecisionPlan>
+sample_precision_plans()
+{
+    // Index-aligned with sample_calibration()'s profiles, all-exact first
+    // (the decoder rejects anything else).
     data::PrecisionPlan exact;
     exact.label = "exact";
     data::PrecisionPlan uniform;
@@ -171,8 +180,16 @@ sample_precision_calibration()
     data::PrecisionPlan narrow;
     narrow.label = "data[out:fp24]";
     narrow.assignments.push_back({"out", data::Codec::Fp24, {}});
-    artifact.plans = {exact, uniform, quantized, narrow};
-    return artifact;
+    return {exact, uniform, quantized, narrow};
+}
+
+void
+rewrite_file(const std::filesystem::path& path,
+             const std::vector<std::uint8_t>& bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
 }
 
 // ---- Round trips ------------------------------------------------------------
@@ -222,17 +239,24 @@ TEST(StoreTest, CalibrationRoundTrip)
     const ArtifactStore store(fresh_dir("calibration-roundtrip"));
     StoreKey key = test_key("calibration");
     key.metric = "Mean relative error";
-    const CalibrationArtifact original = sample_calibration();
+    CalibrationArtifact original = sample_calibration();
+    // The plan is opaque to the store: arbitrary bytes, zeros included.
+    original.plan = {0x00, 0x01, 0xfe, 0x00, 0x7f};
     ASSERT_TRUE(store.save_calibration(key, original));
 
     const auto loaded = store.load_calibration(key);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->fallback_order, original.fallback_order);
-    EXPECT_EQ(loaded->selected, original.selected);
-    ASSERT_EQ(loaded->profiles.size(), original.profiles.size());
-    for (std::size_t i = 0; i < original.profiles.size(); ++i) {
-        const auto& want = original.profiles[i];
-        const auto& got = loaded->profiles[i];
+    EXPECT_EQ(loaded->plan, original.plan);
+    EXPECT_DOUBLE_EQ(loaded->toq, original.toq);
+    EXPECT_EQ(loaded->metric, original.metric);
+    const auto& want_state = original.calibration;
+    const auto& got_state = loaded->calibration;
+    EXPECT_EQ(got_state.fallback_order, want_state.fallback_order);
+    EXPECT_EQ(got_state.selected, want_state.selected);
+    ASSERT_EQ(got_state.profiles.size(), want_state.profiles.size());
+    for (std::size_t i = 0; i < want_state.profiles.size(); ++i) {
+        const auto& want = want_state.profiles[i];
+        const auto& got = got_state.profiles[i];
         EXPECT_EQ(got.label, want.label);
         EXPECT_DOUBLE_EQ(got.speedup, want.speedup);
         EXPECT_DOUBLE_EQ(got.wall_speedup, want.wall_speedup);
@@ -240,29 +264,46 @@ TEST(StoreTest, CalibrationRoundTrip)
         EXPECT_EQ(got.meets_toq, want.meets_toq);
         EXPECT_EQ(got.trapped, want.trapped);
     }
+
+    // The unkeyed decode (the inspect tool's path) sees the same record
+    // and reports the embedded key.
+    const auto file =
+        read_file_bytes(store.path_for(key, ArtifactKind::Calibration));
+    ASSERT_TRUE(file.has_value());
+    const auto payload = decode_record(*file, ArtifactKind::Calibration);
+    ASSERT_TRUE(payload.has_value());
+    std::string embedded;
+    const auto inspected = inspect_calibration(*payload, &embedded);
+    ASSERT_TRUE(inspected.has_value());
+    EXPECT_EQ(embedded, key.canonical());
+    EXPECT_EQ(inspected->plan, original.plan);
 }
 
 TEST(StoreTest, PrecisionCalibrationRoundTrip)
 {
+    // A data tier's precision plans ride the calibration record as its
+    // plan bytes and come back byte-exact, quant parameters included.
     const ArtifactStore store(fresh_dir("precision-roundtrip"));
     StoreKey key = test_key("data-tier");
     key.metric = "Mean relative error";
-    const PrecisionCalibrationArtifact original =
-        sample_precision_calibration();
-    ASSERT_TRUE(store.save_precision_calibration(key, original));
+    const std::vector<data::PrecisionPlan> original = sample_precision_plans();
+    ByteWriter w;
+    runtime::encode_precision_plans(w, original);
+    CalibrationArtifact artifact = sample_calibration();
+    artifact.plan = w.bytes();
+    ASSERT_TRUE(store.save_calibration(key, artifact));
 
-    const auto loaded = store.load_precision_calibration(key);
+    const auto loaded = store.load_calibration(key);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_DOUBLE_EQ(loaded->toq, original.toq);
-    EXPECT_EQ(loaded->metric, original.metric);
-    EXPECT_EQ(loaded->calibration.selected,
-              original.calibration.selected);
-    EXPECT_EQ(loaded->calibration.fallback_order,
-              original.calibration.fallback_order);
-    ASSERT_EQ(loaded->plans.size(), original.plans.size());
-    for (std::size_t i = 0; i < original.plans.size(); ++i) {
-        const auto& want = original.plans[i];
-        const auto& got = loaded->plans[i];
+    EXPECT_EQ(loaded->calibration.selected, artifact.calibration.selected);
+    ByteReader r(loaded->plan.data(), loaded->plan.size());
+    const auto plans = runtime::decode_precision_plans(r);
+    ASSERT_TRUE(plans.has_value());
+    EXPECT_TRUE(r.at_end());
+    ASSERT_EQ(plans->size(), original.size());
+    for (std::size_t i = 0; i < original.size(); ++i) {
+        const auto& want = original[i];
+        const auto& got = (*plans)[i];
         EXPECT_EQ(got.label, want.label);
         ASSERT_EQ(got.assignments.size(), want.assignments.size());
         for (std::size_t a = 0; a < want.assignments.size(); ++a) {
@@ -274,7 +315,7 @@ TEST(StoreTest, PrecisionCalibrationRoundTrip)
                             want.assignments[a].quant.zero);
         }
     }
-    EXPECT_TRUE(loaded->plans.front().all_exact());
+    EXPECT_TRUE(plans->front().all_exact());
 }
 
 // ---- Corruption degrades to a miss ------------------------------------------
@@ -404,72 +445,6 @@ TEST(StoreTest, GarbageFilesNeverCrash)
     }
 }
 
-TEST(StoreTest, CorruptPrecisionCalibrationIsMissNeverCrash)
-{
-    // The full corruption matrix against the precision-calibration kind:
-    // truncation at every stratum, bit flips across the record, pure
-    // garbage, and a semantically-hostile record (plans[0] not exact).
-    const ArtifactStore store(fresh_dir("precision-corrupt"));
-    StoreKey key = test_key("data-tier");
-    key.metric = "L2";
-    ASSERT_TRUE(store.save_precision_calibration(
-        key, sample_precision_calibration()));
-    const auto path =
-        store.path_for(key, ArtifactKind::PrecisionCalibration);
-    const auto pristine = read_file_bytes(path);
-    ASSERT_TRUE(pristine.has_value());
-    const auto rewrite = [&](const std::vector<std::uint8_t>& bytes) {
-        std::ofstream(path, std::ios::binary | std::ios::trunc)
-            .write(reinterpret_cast<const char*>(bytes.data()),
-                   static_cast<std::streamsize>(bytes.size()));
-    };
-
-    for (const std::size_t keep :
-         {std::size_t{0}, std::size_t{7}, std::size_t{31},
-          pristine->size() / 2, pristine->size() - 1}) {
-        auto truncated = *pristine;
-        truncated.resize(keep);
-        rewrite(truncated);
-        EXPECT_FALSE(store.load_precision_calibration(key).has_value())
-            << "truncated to " << keep;
-    }
-    for (const std::size_t offset :
-         {std::size_t{0}, std::size_t{9}, std::size_t{17}, std::size_t{40},
-          pristine->size() / 2, pristine->size() - 1}) {
-        auto corrupted = *pristine;
-        corrupted[offset] ^= 0x20;
-        rewrite(corrupted);
-        EXPECT_FALSE(store.load_precision_calibration(key).has_value())
-            << "bit flip at " << offset;
-    }
-    Rng rng(23);
-    for (const std::size_t size :
-         {std::size_t{1}, std::size_t{33}, std::size_t{512}}) {
-        std::vector<std::uint8_t> junk(size);
-        for (auto& byte : junk)
-            byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-        rewrite(junk);
-        EXPECT_FALSE(store.load_precision_calibration(key).has_value())
-            << size << " bytes of garbage";
-    }
-    EXPECT_GT(store.stats().corrupt_rejects, 0u);
-
-    // A structurally valid record whose leading plan packs a buffer (no
-    // all-exact fallback recorded) is rejected by the decoder, not
-    // installed.
-    PrecisionCalibrationArtifact hostile = sample_precision_calibration();
-    std::swap(hostile.plans[0], hostile.plans[1]);
-    ASSERT_TRUE(store.save_precision_calibration(key, hostile));
-    EXPECT_FALSE(store.load_precision_calibration(key).has_value());
-
-    // And a restored record with a non-finite int8 scale must be a miss:
-    // corrupt quant params can never reach live packing.
-    PrecisionCalibrationArtifact bad_scale = sample_precision_calibration();
-    bad_scale.plans[2].assignments[0].quant.scale = 0.0f;
-    ASSERT_TRUE(store.save_precision_calibration(key, bad_scale));
-    EXPECT_FALSE(store.load_precision_calibration(key).has_value());
-}
-
 TEST(StoreTest, ListAndPruneSeparateValidFromInvalid)
 {
     const auto dir = fresh_dir("list-prune");
@@ -554,8 +529,9 @@ TEST(StoreWarmStartTest, WarmSessionSkipsSearchAndMatchesColdSelection)
     auto module = parser::parse_module(kSource);
     const std::uint64_t searches_before = memo::table_search_invocations();
     runtime::KernelSession cold(module, "apply", session_options());
-    const auto cold_tuner = cold.warm_tuner(
-        session_plan(), runtime::Metric::MeanRelativeError, seeds);
+    const auto cold_tuner = runtime::warm_tuner(
+        cold.family(session_plan(), runtime::Metric::MeanRelativeError),
+        seeds);
     EXPECT_FALSE(cold_tuner.warm);
     EXPECT_GT(memo::table_search_invocations(), searches_before);
     EXPECT_GT(store->stats().writes, 0u);
@@ -567,8 +543,9 @@ TEST(StoreWarmStartTest, WarmSessionSkipsSearchAndMatchesColdSelection)
     const auto cache_before = vm::ProgramCache::global().stats();
     const std::uint64_t searches_cold = memo::table_search_invocations();
     runtime::KernelSession warm(module, "apply", session_options());
-    const auto warm_tuner = warm.warm_tuner(
-        session_plan(), runtime::Metric::MeanRelativeError, seeds);
+    const auto warm_tuner = runtime::warm_tuner(
+        warm.family(session_plan(), runtime::Metric::MeanRelativeError),
+        seeds);
     EXPECT_TRUE(warm_tuner.warm);
     EXPECT_EQ(memo::table_search_invocations(), searches_cold);
     EXPECT_EQ(warm_tuner.tuner->selected_label(),
@@ -612,14 +589,16 @@ TEST(StoreWarmStartTest, StaleCalibrationIsRejectedNotInstalled)
     // A calibration whose labels don't match the live variant list (a
     // different build wrote it) must be ignored and recalibrated over.
     CalibrationArtifact stale;
-    stale.profiles = {{"exact", 1.0, 1.0, 100.0, true, false},
-                      {"renamed-variant", 2.0, 2.0, 95.0, true, false}};
-    stale.fallback_order = {1, 0};
-    stale.selected = 1;
+    stale.calibration.profiles = {
+        {"exact", 1.0, 1.0, 100.0, true, false},
+        {"renamed-variant", 2.0, 2.0, 95.0, true, false}};
+    stale.calibration.fallback_order = {1, 0};
+    stale.calibration.selected = 1;
     ASSERT_TRUE(store->save_calibration(key, stale));
 
-    const auto tuner = session.warm_tuner(
-        session_plan(), runtime::Metric::MeanRelativeError, {1, 2});
+    const auto tuner = runtime::warm_tuner(
+        session.family(session_plan(), runtime::Metric::MeanRelativeError),
+        {1, 2});
     EXPECT_FALSE(tuner.warm);  // Fell back to a live calibration.
     EXPECT_GE(tuner.tuner->profiles().size(), 2u);
 
@@ -713,6 +692,249 @@ TEST(StoreWarmStartTest, RestoreRejectsArityAndHostileCalibrations)
     EXPECT_EQ(tuner.selected_label(), cold_selected);
 }
 
+// ---- One corruption matrix for every variant-family kind -------------------
+
+enum class FamilyKind { Plain, Pipeline, DataTier };
+
+const char*
+kind_label(FamilyKind kind)
+{
+    switch (kind) {
+        case FamilyKind::Plain:
+            return "plain";
+        case FamilyKind::Pipeline:
+            return "pipeline";
+        case FamilyKind::DataTier:
+            return "data_tier";
+    }
+    return "?";
+}
+
+// Stable test names: the parameter prints as its label.
+void
+PrintTo(FamilyKind kind, std::ostream* os)
+{
+    *os << kind_label(kind);
+}
+
+const std::vector<std::uint64_t> kFamilySeeds = {1, 2, 3};
+
+/// Planted into every hostile record's profiles: a tuner carrying it was
+/// installed from the record instead of calibrated cold.
+constexpr double kPlanted = 4242.0;
+
+/// @p genuine re-pointed at the exact kernel with kPlanted speedups: if
+/// a record built from it is ever installed, the caller can tell.
+CalibrationArtifact
+planted(const CalibrationArtifact& genuine)
+{
+    CalibrationArtifact record = genuine;
+    for (auto& profile : record.calibration.profiles)
+        profile.speedup = kPlanted;
+    record.calibration.selected = 0;
+    record.calibration.fallback_order = {0};
+    return record;
+}
+
+/// A live family of each kind, small enough to recalibrate cold once per
+/// corruption case: the memo kernel's generated variants (empty plan),
+/// the image pipeline at test scale (joint plan), and the memo kernel's
+/// precision tier (precision plans).
+struct FamilyFixture {
+    explicit FamilyFixture(FamilyKind kind_)
+        : kind(kind_), module(parser::parse_module(kSource))
+    {
+        if (kind == FamilyKind::Pipeline) {
+            apps::ImagePipelineOptions options;
+            options.scale = 0.25;
+            pipeline = std::make_unique<runtime::PipelineSession>(
+                apps::make_image_pipeline(options).pipeline);
+        } else {
+            session = std::make_unique<runtime::KernelSession>(
+                module, "apply", session_options());
+        }
+    }
+
+    runtime::Metric
+    metric() const
+    {
+        return kind == FamilyKind::Pipeline
+                   ? runtime::Metric::L1Norm
+                   : runtime::Metric::MeanRelativeError;
+    }
+
+    runtime::VariantFamily
+    family()
+    {
+        switch (kind) {
+            case FamilyKind::Plain:
+                return session->family(session_plan(), metric(), 90.0);
+            case FamilyKind::Pipeline:
+                return pipeline->family(metric(), 90.0);
+            case FamilyKind::DataTier:
+                return runtime::data_tier_family(*session, session_plan(),
+                                                 metric(), 90.0);
+        }
+        return {};
+    }
+
+    StoreKey key() { return *family().key; }
+
+    /// Register this kind through its ApproxService entry point.
+    void
+    register_in(serve::ApproxService& service, const std::string& name)
+    {
+        switch (kind) {
+            case FamilyKind::Plain:
+                service.register_kernel(
+                    name, session->variants(session_plan()), metric(), 90.0,
+                    kFamilySeeds, key());
+                return;
+            case FamilyKind::Pipeline:
+                service.register_pipeline(name, *pipeline, metric(), 90.0,
+                                          kFamilySeeds);
+                return;
+            case FamilyKind::DataTier:
+                service.register_data_kernel(name, *session, session_plan(),
+                                             metric(), 90.0, kFamilySeeds);
+                return;
+        }
+    }
+
+    std::uint64_t
+    warm_count(const serve::MetricsSnapshot& metrics) const
+    {
+        switch (kind) {
+            case FamilyKind::Plain:
+                return metrics.warm_registrations;
+            case FamilyKind::Pipeline:
+                return metrics.warm_pipelines;
+            case FamilyKind::DataTier:
+                return metrics.warm_data_tiers;
+        }
+        return 0;
+    }
+
+    /// Well-framed records built from the @p genuine cold record whose
+    /// plan (or profile count) each break exactly one rebuild rule; all
+    /// are planted().
+    std::vector<std::pair<std::string, CalibrationArtifact>>
+    hostile_records(const CalibrationArtifact& genuine) const
+    {
+        const CalibrationArtifact base = planted(genuine);
+
+        std::vector<std::pair<std::string, CalibrationArtifact>> out;
+        const auto with_plan = [&](const std::string& what,
+                                   const ByteWriter& w) {
+            CalibrationArtifact record = base;
+            record.plan = w.bytes();
+            out.emplace_back(what, std::move(record));
+        };
+        // Every kind: one profile fewer than the plan's variants.
+        CalibrationArtifact short_profiles = base;
+        short_profiles.calibration.profiles.pop_back();
+        out.emplace_back("plan/profile count mismatch",
+                         std::move(short_profiles));
+
+        ByteReader r(genuine.plan.data(), genuine.plan.size());
+        switch (kind) {
+            case FamilyKind::Plain: {
+                CalibrationArtifact stray = base;
+                stray.plan = {0x00};
+                out.emplace_back("plain plan not empty", std::move(stray));
+                break;
+            }
+            case FamilyKind::Pipeline: {
+                const auto plan = runtime::decode_joint_plan(r);
+                EXPECT_TRUE(plan.has_value());
+                if (!plan)
+                    break;
+                EXPECT_GE(plan->configs.size(), 2u);
+                if (plan->configs.size() < 2)
+                    break;
+                ByteWriter w;
+                auto edited = *plan;
+                std::swap(edited.configs[0], edited.configs[1]);
+                runtime::encode_joint_plan(w, edited);
+                with_plan("configs[0] not all-exact", w);
+                // A config with one label fewer than there are stages.  The
+                // writer keeps whatever arity it is handed.
+                w = {};
+                edited = *plan;
+                edited.configs[1].pop_back();
+                runtime::encode_joint_plan(w, edited);
+                with_plan("config/stage arity mismatch", w);
+                w = {};
+                edited = *plan;
+                edited.configs.pop_back();
+                runtime::encode_joint_plan(w, edited);
+                with_plan("config count != profile count", w);
+                w = {};
+                edited = *plan;
+                edited.stage_names[0] = "renamed-stage";
+                runtime::encode_joint_plan(w, edited);
+                with_plan("stage names from another pipeline", w);
+                w = {};
+                edited = *plan;
+                edited.configs[1][0] = "no-such-member";
+                runtime::encode_joint_plan(w, edited);
+                with_plan("label names no member", w);
+                break;
+            }
+            case FamilyKind::DataTier: {
+                const auto plans = runtime::decode_precision_plans(r);
+                EXPECT_TRUE(plans.has_value());
+                if (!plans)
+                    break;
+                EXPECT_GE(plans->size(), 2u);
+                if (plans->size() < 2 || (*plans)[1].assignments.empty())
+                    break;
+                const auto edit =
+                    [&](const std::string& what,
+                        const std::function<void(
+                            std::vector<data::PrecisionPlan>&)>& change) {
+                        auto edited = *plans;
+                        change(edited);
+                        ByteWriter w;
+                        runtime::encode_precision_plans(w, edited);
+                        with_plan(what, w);
+                    };
+                edit("plans[0] not all-exact",
+                     [](auto& p) { std::swap(p[0], p[1]); });
+                edit("int8 scale 0", [](auto& p) {
+                    p[1].assignments[0].codec = data::Codec::Int8;
+                    p[1].assignments[0].quant = {0.0f, 0.0f};
+                });
+                edit("int8 scale not finite", [](auto& p) {
+                    p[1].assignments[0].codec = data::Codec::Int8;
+                    p[1].assignments[0].quant = {
+                        std::numeric_limits<float>::infinity(), 0.0f};
+                });
+                edit("int8 zero point not finite", [](auto& p) {
+                    p[1].assignments[0].codec = data::Codec::Int8;
+                    p[1].assignments[0].quant = {
+                        1.0f, std::numeric_limits<float>::quiet_NaN()};
+                });
+                edit("codec byte out of range", [](auto& p) {
+                    p[1].assignments[0].codec =
+                        static_cast<data::Codec>(data::kNumCodecs);
+                });
+                edit("plan count != profile count",
+                     [](auto& p) { p.pop_back(); });
+                edit("plan packs a buffer the live safety analysis pins",
+                     [](auto& p) { p[1].assignments[0].buffer = "ghost"; });
+                break;
+            }
+        }
+        return out;
+    }
+
+    FamilyKind kind;
+    ir::Module module;
+    std::unique_ptr<runtime::KernelSession> session;
+    std::unique_ptr<runtime::PipelineSession> pipeline;
+};
+
 TEST(StoreWarmStartTest, HostileCalibrationNeverServesFromALiveService)
 {
     // The serving-path version of the two rejection tests above: a stale
@@ -761,10 +983,11 @@ TEST(StoreWarmStartTest, HostileCalibrationNeverServesFromALiveService)
 
     // Stale: a record naming a variant this build does not have.
     CalibrationArtifact stale;
-    stale.profiles = {{"exact", 1.0, 1.0, 100.0, true, false},
-                      {"renamed-variant", 9.0, 9.0, 99.0, true, false}};
-    stale.fallback_order = {1, 0};
-    stale.selected = 1;
+    stale.calibration.profiles = {
+        {"exact", 1.0, 1.0, 100.0, true, false},
+        {"renamed-variant", 9.0, 9.0, 99.0, true, false}};
+    stale.calibration.fallback_order = {1, 0};
+    stale.calibration.selected = 1;
     ASSERT_TRUE(store->save_calibration(key, stale));
     {
         serve::ApproxService service{[] {
@@ -786,7 +1009,7 @@ TEST(StoreWarmStartTest, HostileCalibrationNeverServesFromALiveService)
     {
         const auto reloaded = store->load_calibration(key);
         ASSERT_TRUE(reloaded.has_value());
-        EXPECT_EQ(reloaded->profiles[1].label, "good");
+        EXPECT_EQ(reloaded->calibration.profiles[1].label, "good");
     }
 
     // Corrupted: flip one payload byte of the (now valid) record.  The
@@ -817,8 +1040,207 @@ TEST(StoreWarmStartTest, HostileCalibrationNeverServesFromALiveService)
         service.stop();
     }
 
+    // The same guarantee for the pipeline and data-tier entry points,
+    // which restore a plan as well as a calibration: a stale record, each
+    // hostile plan, and a corrupted record all calibrate cold, and every
+    // request serves the cold selection — never the exact kernel the
+    // hostile records select.
+    for (const FamilyKind kind :
+         {FamilyKind::Pipeline, FamilyKind::DataTier}) {
+        SCOPED_TRACE(kind_label(kind));
+        FamilyFixture fx(kind);
+        const StoreKey family_key = fx.key();
+        const auto make_service = [] {
+            serve::ServiceConfig config;
+            config.num_workers = 1;
+            config.queue_capacity = 16;
+            return std::make_unique<serve::ApproxService>(config);
+        };
+        std::string cold_selection;
+        {
+            auto service = make_service();
+            fx.register_in(*service, "f");
+            EXPECT_EQ(fx.warm_count(service->metrics().snapshot()), 0u);
+            cold_selection = service->kernel_snapshot("f").selected;
+            service->stop();
+        }
+        ASSERT_NE(cold_selection, "exact");
+        const auto genuine = store->load_calibration(family_key);
+        ASSERT_TRUE(genuine.has_value());
+
+        const auto register_and_check = [&](const std::string& what) {
+            SCOPED_TRACE(what);
+            auto service = make_service();
+            fx.register_in(*service, "f");
+            EXPECT_EQ(fx.warm_count(service->metrics().snapshot()), 0u);
+            EXPECT_EQ(service->kernel_snapshot("f").selected,
+                      cold_selection);
+            for (std::uint64_t seed = 0; seed < 8; ++seed) {
+                serve::Ticket ticket = service->submit("f", seed);
+                ASSERT_TRUE(ticket.accepted);
+                const serve::Response response = ticket.response.get();
+                EXPECT_EQ(response.served_by, cold_selection);
+                EXPECT_FALSE(response.run.output.empty());
+            }
+            service->stop();
+        };
+
+        // Stale: the genuine plan, but a profile label from another build.
+        CalibrationArtifact stale_record = planted(*genuine);
+        stale_record.calibration.profiles.back().label = "renamed-variant";
+        ASSERT_TRUE(store->save_calibration(family_key, stale_record));
+        register_and_check("stale labels");
+        for (const auto& [what, record] : fx.hostile_records(*genuine)) {
+            ASSERT_TRUE(store->save_calibration(family_key, record));
+            register_and_check(what);
+        }
+        const auto family_path =
+            store->path_for(family_key, ArtifactKind::Calibration);
+        auto flipped = read_file_bytes(family_path);
+        ASSERT_TRUE(flipped.has_value());
+        (*flipped)[flipped->size() / 2] ^= 0x40;
+        rewrite_file(family_path, *flipped);
+        const std::uint64_t family_rejects = store->stats().corrupt_rejects;
+        register_and_check("corrupted bytes");
+        EXPECT_GT(store->stats().corrupt_rejects, family_rejects);
+
+        // The record the last cold registration saved restores.
+        auto service = make_service();
+        fx.register_in(*service, "f");
+        EXPECT_EQ(fx.warm_count(service->metrics().snapshot()), 1u);
+        EXPECT_EQ(service->kernel_snapshot("f").selected, cold_selection);
+        service->stop();
+    }
+
     ArtifactStore::disable_global();
 }
+
+/// Run the family's warm start against whatever record is on disk and
+/// check it went cold: never warm, a tuner calibrated from scratch (no
+/// planted profile), and a fresh record saved for the next process.
+/// @p loads says whether the record decodes (the family's rebuild or the
+/// tuner's restore must reject it) or is a store miss.
+void
+expect_cold_recalibration(FamilyFixture& fx, bool loads,
+                          const std::string& what)
+{
+    SCOPED_TRACE(what);
+    const auto store = ArtifactStore::global();
+    const StoreStats before = store->stats();
+    const runtime::WarmTuner result =
+        runtime::warm_tuner(fx.family(), kFamilySeeds);
+    const StoreStats after = store->stats();
+
+    EXPECT_FALSE(result.warm);
+    ASSERT_NE(result.tuner, nullptr);
+    ASSERT_FALSE(result.tuner->profiles().empty());
+    for (const auto& profile : result.tuner->profiles())
+        EXPECT_NE(profile.speedup, kPlanted) << profile.label;
+    if (loads) {
+        EXPECT_GT(after.hits, before.hits);
+    } else {
+        EXPECT_EQ(after.hits, before.hits);
+        EXPECT_GT(after.misses + after.corrupt_rejects,
+                  before.misses + before.corrupt_rejects);
+    }
+    EXPECT_GT(after.writes, before.writes);
+    EXPECT_TRUE(store->load_calibration(fx.key()).has_value());
+}
+
+class FamilyCorruptionTest : public ::testing::TestWithParam<FamilyKind> {};
+
+TEST_P(FamilyCorruptionTest, EveryCorruptRecordEndsInAColdRecalibration)
+{
+    const auto store = ArtifactStore::configure_global(
+        fresh_dir(std::string("family-corrupt-") + kind_label(GetParam())));
+    vm::ProgramCache::global().clear();
+    FamilyFixture fx(GetParam());
+
+    // Cold, then warm: the fixture's genuine record does restore, so every
+    // cold outcome below is a rejection, not a fixture that never warms.
+    ASSERT_FALSE(runtime::warm_tuner(fx.family(), kFamilySeeds).warm);
+    ASSERT_TRUE(runtime::warm_tuner(fx.family(), kFamilySeeds).warm);
+
+    const StoreKey key = fx.key();
+    const auto path = store->path_for(key, ArtifactKind::Calibration);
+    const auto pristine = read_file_bytes(path);
+    ASSERT_TRUE(pristine.has_value());
+    const auto genuine = store->load_calibration(key);
+    ASSERT_TRUE(genuine.has_value());
+
+    // Record strata: 32-byte header, then the key string (u64 length +
+    // bytes), the plan bytes (u64 length + bytes), the calibration state,
+    // TOQ and metric.
+    const std::size_t key_at = 32;
+    const std::size_t plan_at = key_at + 8 + key.canonical().size();
+    const std::size_t state_at = plan_at + 8 + genuine->plan.size();
+    const std::size_t size = pristine->size();
+    ASSERT_LT(state_at, size);
+
+    for (const std::size_t keep :
+         {std::size_t{0}, std::size_t{7}, std::size_t{31}, key_at,
+          key_at + 4, plan_at - 3, plan_at + 4, plan_at + 8,
+          (plan_at + 8 + state_at) / 2, state_at, state_at + 12, size / 2,
+          size - 9, size - 1}) {
+        auto truncated = *pristine;
+        truncated.resize(keep);
+        rewrite_file(path, truncated);
+        expect_cold_recalibration(fx, false,
+                                  "truncated to " + std::to_string(keep));
+    }
+    for (const std::size_t offset :
+         {std::size_t{0}, std::size_t{4}, std::size_t{9}, std::size_t{17},
+          std::size_t{25}, key_at + 2, plan_at - 1, plan_at + 1,
+          (plan_at + 8 + state_at) / 2, state_at + 3, size / 2,
+          size - 1}) {
+        auto corrupted = *pristine;
+        corrupted[offset] ^= 0x20;
+        rewrite_file(path, corrupted);
+        expect_cold_recalibration(fx, false,
+                                  "bit flip at " + std::to_string(offset));
+    }
+    Rng rng(23);
+    for (const std::size_t junk_size :
+         {std::size_t{1}, std::size_t{33}, std::size_t{512}}) {
+        std::vector<std::uint8_t> junk(junk_size);
+        for (auto& byte : junk)
+            byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+        rewrite_file(path, junk);
+        expect_cold_recalibration(
+            fx, false, std::to_string(junk_size) + " bytes of garbage");
+    }
+    // A record written by format version 1 (the version is the header's
+    // second little-endian u32; the payload checksum still matches).
+    {
+        auto v1 = *pristine;
+        v1[4] = 1;
+        v1[5] = v1[6] = v1[7] = 0;
+        rewrite_file(path, v1);
+        const StoreStats before = store->stats();
+        EXPECT_FALSE(store->load_calibration(key).has_value());
+        EXPECT_EQ(store->stats().corrupt_rejects,
+                  before.corrupt_rejects + 1);
+        expect_cold_recalibration(fx, false, "format v1 record");
+    }
+
+    const auto hostile = fx.hostile_records(*genuine);
+    EXPECT_GE(hostile.size(), 2u);
+    for (const auto& [what, record] : hostile) {
+        ASSERT_TRUE(store->save_calibration(key, record));
+        expect_cold_recalibration(fx, true, what);
+    }
+
+    ArtifactStore::disable_global();
+    vm::ProgramCache::global().clear();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, FamilyCorruptionTest,
+    ::testing::Values(FamilyKind::Plain, FamilyKind::Pipeline,
+                      FamilyKind::DataTier),
+    [](const ::testing::TestParamInfo<FamilyKind>& info) {
+        return std::string(kind_label(info.param));
+    });
 
 }  // namespace
 }  // namespace paraprox::store

@@ -4,7 +4,11 @@
 /// Subcommands:
 ///   list    [--dir DIR]         one line per record: kind, size, verdict,
 ///                               canonical key
-///   inspect [--dir DIR] FILE    header + key of a single record file
+///   inspect [--dir DIR] FILE    header + key of a single record file;
+///                               calibrations add metric, TOQ and one
+///                               line per variant (fleet records add the
+///                               version and quarantined labels); exit 1
+///                               unless the record decodes
 ///   verify  [--dir DIR]         exit 1 if any record fails validation
 ///   prune   [--dir DIR] [--all] delete invalid records (and stray temp
 ///                               files); --all deletes valid ones too
@@ -40,115 +44,75 @@ const char*
 kind_name(ArtifactKind kind)
 {
     switch (kind) {
-    case ArtifactKind::Program:
-        return "program";
-    case ArtifactKind::Table:
-        return "table";
-    case ArtifactKind::Calibration:
-        return "calibration";
-    case ArtifactKind::PipelineCalibration:
-        return "pipeline";
-    case ArtifactKind::PrecisionCalibration:
-        return "precision";
+        case ArtifactKind::Program:
+            return "program";
+        case ArtifactKind::Table:
+            return "table";
+        case ArtifactKind::Calibration:
+            return "calibration";
+        case ArtifactKind::FleetCalibration:
+            return "fleet";
+        case ArtifactKind::Lease:
+            return "lease";
     }
     return "unknown";
 }
 
-/// Pipeline-calibration payloads carry the whole joint plan; print the
-/// chain structure, every surviving joint config, and the end-to-end
-/// selection so operators can audit what a warm start will restore.
+/// One line per calibrated variant, '*' on the selection.  Every family
+/// names its variants for what they are — a pipeline's joint label names
+/// each stage's member, a data tier's names each packed buffer's codec —
+/// so one printer serves them all.
 void
-print_pipeline_calibration(const std::vector<std::uint8_t>& payload)
+print_profiles(const paraprox::runtime::CalibrationState& calibration)
 {
-    std::string key;
-    const auto artifact =
-        paraprox::store::inspect_pipeline_calibration(payload, &key);
-    if (!artifact)
-        return;
-    std::printf("key:      %s\n", key.c_str());
-    std::printf("metric:   %s\n", artifact->metric.c_str());
-    std::printf("toq:      %.2f%% (end-to-end, final stage output)\n",
-                artifact->toq);
-    std::printf("stages:  ");
-    for (const auto& stage : artifact->stage_names)
-        std::printf(" %s", stage.c_str());
-    std::printf("\n");
-    const auto& calibration = artifact->calibration;
-    for (std::size_t i = 0; i < artifact->configs.size(); ++i) {
+    for (std::size_t i = 0; i < calibration.profiles.size(); ++i) {
+        const auto& profile = calibration.profiles[i];
         const bool selected =
             static_cast<std::size_t>(calibration.selected) == i;
-        std::string joint;
-        for (std::size_t s = 0; s < artifact->configs[i].size(); ++s) {
-            if (s > 0)
-                joint += " | ";
-            joint += artifact->stage_names.size() == artifact->configs[i].size()
-                         ? artifact->stage_names[s] + "=" +
-                               artifact->configs[i][s]
-                         : artifact->configs[i][s];
-        }
-        const paraprox::runtime::VariantProfile* profile =
-            i < calibration.profiles.size() ? &calibration.profiles[i]
-                                            : nullptr;
-        if (profile) {
-            std::printf("config:   %c %-60s q=%.2f%% speedup=%.2fx%s\n",
-                        selected ? '*' : ' ', joint.c_str(),
-                        profile->quality, profile->speedup,
-                        profile->meets_toq ? "" : " (below TOQ)");
-        } else {
-            std::printf("config:   %c %s\n", selected ? '*' : ' ',
-                        joint.c_str());
-        }
+        std::printf("variant:  %c %-60s q=%.2f%% speedup=%.2fx%s\n",
+                    selected ? '*' : ' ', profile.label.c_str(),
+                    profile.quality, profile.speedup,
+                    profile.meets_toq ? "" : " (below TOQ)");
     }
 }
 
-/// Precision-calibration payloads carry every searched per-buffer codec
-/// plan; print each plan's assignments and calibrated profile so
-/// operators can audit what storage precision a warm start will serve.
-void
-print_precision_calibration(const std::vector<std::uint8_t>& payload)
+/// Calibration payloads: what a warm start will restore.
+bool
+print_calibration(const std::vector<std::uint8_t>& payload)
 {
     std::string key;
     const auto artifact =
-        paraprox::store::inspect_precision_calibration(payload, &key);
+        paraprox::store::inspect_calibration(payload, &key);
     if (!artifact)
-        return;
+        return false;
     std::printf("key:      %s\n", key.c_str());
     std::printf("metric:   %s\n", artifact->metric.c_str());
     std::printf("toq:      %.2f%%\n", artifact->toq);
-    const auto& calibration = artifact->calibration;
-    for (std::size_t i = 0; i < artifact->plans.size(); ++i) {
-        const auto& plan = artifact->plans[i];
-        const bool selected =
-            static_cast<std::size_t>(calibration.selected) == i;
-        std::string assignments;
-        for (const auto& assignment : plan.assignments) {
-            if (!assignments.empty())
-                assignments += " ";
-            assignments += assignment.buffer + "=" +
-                           paraprox::data::to_string(assignment.codec);
-            if (assignment.codec == paraprox::data::Codec::Int8) {
-                char quant[64];
-                std::snprintf(quant, sizeof quant, "(s=%g,z=%g)",
-                              static_cast<double>(assignment.quant.scale),
-                              static_cast<double>(assignment.quant.zero));
-                assignments += quant;
-            }
-        }
-        if (assignments.empty())
-            assignments = "all-exact";
-        const paraprox::runtime::VariantProfile* profile =
-            i < calibration.profiles.size() ? &calibration.profiles[i]
-                                            : nullptr;
-        if (profile) {
-            std::printf("plan:     %c %-44s q=%.2f%% speedup=%.2fx%s\n",
-                        selected ? '*' : ' ', assignments.c_str(),
-                        profile->quality, profile->speedup,
-                        profile->meets_toq ? "" : " (below TOQ)");
-        } else {
-            std::printf("plan:     %c %s\n", selected ? '*' : ' ',
-                        assignments.c_str());
-        }
-    }
+    print_profiles(artifact->calibration);
+    return true;
+}
+
+/// Fleet payloads: the published version and the quarantine verdicts
+/// every replica adopts with it.
+bool
+print_fleet_calibration(const std::vector<std::uint8_t>& payload)
+{
+    std::string key;
+    const auto artifact =
+        paraprox::store::inspect_fleet_calibration(payload, &key);
+    if (!artifact)
+        return false;
+    std::printf("key:      %s\n", key.c_str());
+    std::printf("metric:   %s\n", artifact->metric.c_str());
+    std::printf("toq:      %.2f%%\n", artifact->toq);
+    std::printf("version:  %llu\n",
+                static_cast<unsigned long long>(artifact->version));
+    std::printf("quarantined:");
+    for (const auto& label : artifact->quarantined)
+        std::printf(" %s", label.c_str());
+    std::printf("%s\n", artifact->quarantined.empty() ? " (none)" : "");
+    print_profiles(artifact->calibration);
+    return true;
 }
 
 int
@@ -186,24 +150,22 @@ cmd_inspect(const std::filesystem::path& file)
     std::printf("payload:  %ju bytes\n",
                 static_cast<std::uintmax_t>(info.payload_size));
     std::printf("verdict:  %s\n", info.valid ? "ok" : "INVALID");
-    if (info.valid) {
-        if (const auto payload =
-                paraprox::store::decode_record(*bytes, info.kind)) {
-            if (info.kind == ArtifactKind::PipelineCalibration) {
-                print_pipeline_calibration(*payload);
-            } else if (info.kind == ArtifactKind::PrecisionCalibration) {
-                print_precision_calibration(*payload);
-            } else {
-                // Every payload leads with its canonical key string.
-                paraprox::store::ByteReader reader(payload->data(),
-                                                  payload->size());
-                const std::string key = reader.str();
-                if (reader.ok())
-                    std::printf("key:      %s\n", key.c_str());
-            }
-        }
-    }
-    return info.valid ? 0 : 1;
+    if (!info.valid)
+        return 1;
+    const auto payload = paraprox::store::decode_record(*bytes, info.kind);
+    if (!payload)
+        return 1;
+    if (info.kind == ArtifactKind::Calibration)
+        return print_calibration(*payload) ? 0 : 1;
+    if (info.kind == ArtifactKind::FleetCalibration)
+        return print_fleet_calibration(*payload) ? 0 : 1;
+    // Every payload leads with its canonical key string.
+    paraprox::store::ByteReader reader(payload->data(), payload->size());
+    const std::string key = reader.str();
+    if (!reader.ok())
+        return 1;
+    std::printf("key:      %s\n", key.c_str());
+    return 0;
 }
 
 int

@@ -227,8 +227,9 @@ run_fleet(int replicas, int requests, const std::string& run_dir,
         const auto stats = scrape_stats(door, i);
         if (!stats)
             return std::nullopt;
-        result.max_served = std::max(result.max_served, stats->served);
-        served_before[i] = stats->served;
+        result.max_served =
+            std::max(result.max_served, stats->metrics.served);
+        served_before[i] = stats->metrics.served;
     }
     if (result.max_served > 0) {
         const double busiest_seconds =
@@ -251,9 +252,9 @@ run_fleet(int replicas, int requests, const std::string& run_dir,
         std::size_t resolved = 0;
         for (std::size_t i = 0; i < endpoints.size(); ++i) {
             if (const auto stats = scrape_stats(door, i);
-                stats && stats->published_calibrations +
-                                 stats->adopted_calibrations +
-                                 stats->redundant_recalibrations >
+                stats && stats->plane.published +
+                                 stats->metrics.adopted_calibrations +
+                                 stats->plane.redundant >
                              0)
                 ++resolved;
         }
@@ -265,10 +266,10 @@ run_fleet(int replicas, int requests, const std::string& run_dir,
         const auto stats = scrape_stats(door, i);
         if (!stats)
             return std::nullopt;
-        result.recalibrations += stats->recalibrations;
-        result.adopted += stats->adopted_calibrations;
-        result.redundant += stats->redundant_recalibrations;
-        result.published += stats->published_calibrations;
+        result.recalibrations += stats->metrics.recalibrations;
+        result.adopted += stats->metrics.adopted_calibrations;
+        result.redundant += stats->plane.redundant;
+        result.published += stats->plane.published;
     }
 
     const auto door_stats = door.stats();

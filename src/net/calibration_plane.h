@@ -53,17 +53,26 @@ struct PlaneConfig {
     std::chrono::milliseconds adoption_timeout{3000};
 };
 
+/// The plane's counters, declared once as X(name, help): the struct, the
+/// Stats frame codec and paraprox_frontd's report all expand this list.
+#define PARAPROX_PLANE_STATS(X)                                            \
+    X(lease_wins, "drift leases this replica acquired")                    \
+    X(lease_losses,                                                        \
+      "drift events that found a peer holding the lease")                  \
+    X(published, "recalibrations published to the fleet")                 \
+    X(redundant,                                                           \
+      "local recalibrations that lost the publish race (the lease "        \
+      "expired and a peer finished first); zero in a healthy fleet")       \
+    X(watch_polls, "version-watch sweeps")                                 \
+    X(takeovers, "drift events re-driven after the lease winner went "     \
+                 "silent")
+
 struct PlaneStats {
-    std::uint64_t lease_wins = 0;
-    std::uint64_t lease_losses = 0;
-    std::uint64_t published = 0;
-    /// Locally completed recalibrations that lost the publish race (our
-    /// lease expired and a peer finished first); the peer's record was
-    /// adopted instead.  Zero in a healthy fleet.
-    std::uint64_t redundant = 0;
-    std::uint64_t watch_polls = 0;
-    /// Drift events re-driven after the lease winner went silent.
-    std::uint64_t takeovers = 0;
+#define PARAPROX_PLANE_FIELD(name, help) std::uint64_t name = 0;
+    PARAPROX_PLANE_STATS(PARAPROX_PLANE_FIELD)
+#undef PARAPROX_PLANE_FIELD
+
+    bool operator==(const PlaneStats&) const = default;
 };
 
 class CalibrationPlane {

@@ -216,24 +216,9 @@ ReplicaServer::gather_stats() const
 {
     ReplicaStats stats;
     stats.replica = options_.id;
-    const serve::MetricsSnapshot metrics = service_.metrics().snapshot();
-    stats.accepted = metrics.accepted;
-    stats.served = metrics.served;
-    stats.deadline_expired = metrics.deadline_expired;
-    stats.recalibrations = metrics.recalibrations;
-    stats.suppressed_recalibrations = metrics.suppressed_recalibrations;
-    stats.adopted_calibrations = metrics.adopted_calibrations;
-    stats.adoption_rejects = metrics.adoption_rejects;
-    stats.exact_while_recalibrating = metrics.exact_while_recalibrating;
-    if (plane_ != nullptr) {
-        const PlaneStats plane = plane_->stats();
-        stats.lease_wins = plane.lease_wins;
-        stats.lease_losses = plane.lease_losses;
-        stats.published_calibrations = plane.published;
-        stats.redundant_recalibrations = plane.redundant;
-        stats.watch_polls = plane.watch_polls;
-        stats.takeovers = plane.takeovers;
-    }
+    stats.metrics = service_.snapshot().metrics;
+    if (plane_ != nullptr)
+        stats.plane = plane_->stats();
     return stats;
 }
 

@@ -250,25 +250,83 @@ Pong::decode(const std::vector<std::uint8_t>& payload)
 
 // ---- ReplicaStats ----------------------------------------------------------
 
+namespace {
+
+void
+put(ByteWriter& w, std::uint64_t value)
+{
+    w.u64(value);
+}
+
+void
+put(ByteWriter& w, std::int64_t value)
+{
+    w.i64(value);
+}
+
+void
+put(ByteWriter& w, double value)
+{
+    w.f64(value);
+}
+
+void
+get(ByteReader& r, std::uint64_t& value)
+{
+    value = r.u64();
+}
+
+void
+get(ByteReader& r, std::int64_t& value)
+{
+    value = r.i64();
+}
+
+void
+get(ByteReader& r, double& value)
+{
+    value = r.f64();
+}
+
+/// Hands every field of @p stats but the replica id to @p io, in wire
+/// order: the declared serve lists, the three distributions, then the
+/// plane.  The encoder and the decoder share it, so they cannot disagree
+/// on order.
+template <class Stats, class Io>
+void
+for_each_field(Stats& stats, Io&& io)
+{
+#define PARAPROX_FIELD(name, ...) io(stats.metrics.name);
+    PARAPROX_SERVE_METRICS(PARAPROX_FIELD)
+    PARAPROX_TUNER_TOTALS(PARAPROX_FIELD)
+#undef PARAPROX_FIELD
+    const auto latency = [&](auto& snapshot) {
+        io(snapshot.count);
+        io(snapshot.p50);
+        io(snapshot.p95);
+        io(snapshot.p99);
+    };
+    auto& batch = stats.metrics.batch;
+    latency(stats.metrics.latency);
+    io(batch.batches);
+    io(batch.coalesced);
+    io(batch.coalesced_requests);
+    io(batch.max_size);
+    io(batch.mean_size);
+    latency(stats.metrics.batch_latency);
+#define PARAPROX_FIELD(name, help) io(stats.plane.name);
+    PARAPROX_PLANE_STATS(PARAPROX_FIELD)
+#undef PARAPROX_FIELD
+}
+
+}  // namespace
+
 std::vector<std::uint8_t>
 ReplicaStats::encode() const
 {
     ByteWriter w;
     w.str(replica);
-    w.u64(accepted);
-    w.u64(served);
-    w.u64(deadline_expired);
-    w.u64(recalibrations);
-    w.u64(suppressed_recalibrations);
-    w.u64(adopted_calibrations);
-    w.u64(adoption_rejects);
-    w.u64(exact_while_recalibrating);
-    w.u64(lease_wins);
-    w.u64(lease_losses);
-    w.u64(published_calibrations);
-    w.u64(redundant_recalibrations);
-    w.u64(watch_polls);
-    w.u64(takeovers);
+    for_each_field(*this, [&](const auto& field) { put(w, field); });
     return w.bytes();
 }
 
@@ -278,20 +336,7 @@ ReplicaStats::decode(const std::vector<std::uint8_t>& payload)
     ByteReader r(payload.data(), payload.size());
     ReplicaStats out;
     out.replica = r.str();
-    out.accepted = r.u64();
-    out.served = r.u64();
-    out.deadline_expired = r.u64();
-    out.recalibrations = r.u64();
-    out.suppressed_recalibrations = r.u64();
-    out.adopted_calibrations = r.u64();
-    out.adoption_rejects = r.u64();
-    out.exact_while_recalibrating = r.u64();
-    out.lease_wins = r.u64();
-    out.lease_losses = r.u64();
-    out.published_calibrations = r.u64();
-    out.redundant_recalibrations = r.u64();
-    out.watch_polls = r.u64();
-    out.takeovers = r.u64();
+    for_each_field(out, [&](auto& field) { get(r, field); });
     if (!r.at_end())
         return std::nullopt;
     return out;

@@ -31,6 +31,8 @@
 #include <string_view>
 #include <vector>
 
+#include "net/calibration_plane.h"
+#include "serve/metrics.h"
 #include "support/socket.h"
 
 namespace paraprox::net {
@@ -156,25 +158,16 @@ struct Pong {
     decode(const std::vector<std::uint8_t>& payload);
 };
 
-/// StatsReply payload: the counters the scale-out bench and tests
-/// assert on, merged from the replica's ApproxService metrics and its
-/// CalibrationPlane.
+/// StatsReply payload: the replica's full serve snapshot (breaker
+/// totals included) and its calibration plane's counters.  The codec
+/// walks the declared lists, so a new counter rides the frame with no
+/// edit here.
 struct ReplicaStats {
     std::string replica;
-    std::uint64_t accepted = 0;
-    std::uint64_t served = 0;
-    std::uint64_t deadline_expired = 0;
-    std::uint64_t recalibrations = 0;
-    std::uint64_t suppressed_recalibrations = 0;
-    std::uint64_t adopted_calibrations = 0;
-    std::uint64_t adoption_rejects = 0;
-    std::uint64_t exact_while_recalibrating = 0;
-    std::uint64_t lease_wins = 0;
-    std::uint64_t lease_losses = 0;
-    std::uint64_t published_calibrations = 0;
-    std::uint64_t redundant_recalibrations = 0;
-    std::uint64_t watch_polls = 0;
-    std::uint64_t takeovers = 0;
+    serve::MetricsSnapshot metrics;
+    PlaneStats plane;  ///< All zero on a replica without a plane.
+
+    bool operator==(const ReplicaStats&) const = default;
 
     std::vector<std::uint8_t> encode() const;
     static std::optional<ReplicaStats>

@@ -62,9 +62,10 @@ BatchHistogram::record(std::size_t size)
 {
     if (size == 0)
         return;
-    const std::size_t bucket = size > kMaxSize ? kMaxSize - 1 : size - 1;
-    by_size_[bucket].fetch_add(1, std::memory_order_relaxed);
-    total_requests_.fetch_add(size, std::memory_order_relaxed);
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    if (size == 1)
+        singletons_.fetch_add(1, std::memory_order_relaxed);
+    requests_.fetch_add(size, std::memory_order_relaxed);
     std::uint64_t seen = max_size_.load(std::memory_order_relaxed);
     while (seen < size &&
            !max_size_.compare_exchange_weak(seen, size,
@@ -75,19 +76,16 @@ BatchHistogram::record(std::size_t size)
 BatchSnapshot
 BatchHistogram::snapshot() const
 {
+    // The totals are read one at a time while records land, so one may
+    // include a batch another misses: clamp the differences at zero.
+    const std::uint64_t singletons =
+        singletons_.load(std::memory_order_relaxed);
     BatchSnapshot out;
-    for (std::size_t i = 0; i < kMaxSize; ++i) {
-        const std::uint64_t count =
-            by_size_[i].load(std::memory_order_relaxed);
-        out.batches += count;
-        if (i >= 1) {
-            out.coalesced += count;
-            out.coalesced_requests += count * (i + 1);
-        }
-    }
+    out.batches = batches_.load(std::memory_order_relaxed);
+    const std::uint64_t requests = requests_.load(std::memory_order_relaxed);
+    out.coalesced = out.batches > singletons ? out.batches - singletons : 0;
+    out.coalesced_requests = requests > singletons ? requests - singletons : 0;
     out.max_size = max_size_.load(std::memory_order_relaxed);
-    const std::uint64_t requests =
-        total_requests_.load(std::memory_order_relaxed);
     out.mean_size = out.batches > 0
                         ? static_cast<double>(requests) /
                               static_cast<double>(out.batches)
@@ -99,47 +97,10 @@ MetricsSnapshot
 Metrics::snapshot() const
 {
     MetricsSnapshot out;
-    out.accepted = accepted.load(std::memory_order_relaxed);
-    out.rejected_full = rejected_full.load(std::memory_order_relaxed);
-    out.rejected_unknown = rejected_unknown.load(std::memory_order_relaxed);
-    out.rejected_stopped = rejected_stopped.load(std::memory_order_relaxed);
-    out.rejected_closed_race =
-        rejected_closed_race.load(std::memory_order_relaxed);
-    out.rejected_deadline =
-        rejected_deadline.load(std::memory_order_relaxed);
-    out.served = served.load(std::memory_order_relaxed);
-    out.deadline_expired = deadline_expired.load(std::memory_order_relaxed);
-    out.trap_fallbacks = trap_fallbacks.load(std::memory_order_relaxed);
-    out.degraded_serves = degraded_serves.load(std::memory_order_relaxed);
-    out.degrade_steps = degrade_steps.load(std::memory_order_relaxed);
-    out.restore_steps = restore_steps.load(std::memory_order_relaxed);
-    out.degradation_level =
-        degradation_level.load(std::memory_order_relaxed);
-    out.shadow_runs = shadow_runs.load(std::memory_order_relaxed);
-    out.shadow_violations =
-        shadow_violations.load(std::memory_order_relaxed);
-    out.recalibrations = recalibrations.load(std::memory_order_relaxed);
-    out.exact_while_recalibrating =
-        exact_while_recalibrating.load(std::memory_order_relaxed);
-    out.suppressed_recalibrations =
-        suppressed_recalibrations.load(std::memory_order_relaxed);
-    out.adopted_calibrations =
-        adopted_calibrations.load(std::memory_order_relaxed);
-    out.adoption_rejects =
-        adoption_rejects.load(std::memory_order_relaxed);
-    out.warm_registrations =
-        warm_registrations.load(std::memory_order_relaxed);
-    out.warm_pipelines = warm_pipelines.load(std::memory_order_relaxed);
-    out.warm_data_tiers = warm_data_tiers.load(std::memory_order_relaxed);
-    out.cancelled_launches =
-        cancelled_launches.load(std::memory_order_relaxed);
-    out.watchdog_cancels =
-        watchdog_cancels.load(std::memory_order_relaxed);
-    out.watchdog_fallbacks =
-        watchdog_fallbacks.load(std::memory_order_relaxed);
-    out.launch_groups_completed =
-        launch_groups_completed.load(std::memory_order_relaxed);
-    out.queue_depth = queue_depth.load(std::memory_order_relaxed);
+#define PARAPROX_LOAD(name, type, help)                                    \
+    out.name = name.load(std::memory_order_relaxed);
+    PARAPROX_SERVE_METRICS(PARAPROX_LOAD)
+#undef PARAPROX_LOAD
     out.latency = latency.snapshot();
     out.batch = batch.snapshot();
     out.batch_latency = batch_latency.snapshot();
@@ -151,69 +112,35 @@ format_metrics(const MetricsSnapshot& snapshot)
 {
     char line[160];
     std::string out;
-    const auto row = [&](const char* name, std::uint64_t value) {
-        std::snprintf(line, sizeof line, "  %-26s %llu\n", name,
-                      static_cast<unsigned long long>(value));
+    const auto row = [&](const char* name, auto value) {
+        std::snprintf(line, sizeof line, "  %-26s %s\n", name,
+                      std::to_string(value).c_str());
         out += line;
     };
-    row("accepted", snapshot.accepted);
-    row("served", snapshot.served);
-    row("rejected (full)", snapshot.rejected_full);
-    row("rejected (unknown)", snapshot.rejected_unknown);
-    row("rejected (stopped)", snapshot.rejected_stopped);
-    row("rejected (stop race)", snapshot.rejected_closed_race);
-    row("rejected (deadline)", snapshot.rejected_deadline);
-    row("deadline expired", snapshot.deadline_expired);
-    row("trap fallbacks", snapshot.trap_fallbacks);
-    row("degraded serves", snapshot.degraded_serves);
-    row("degrade steps", snapshot.degrade_steps);
-    row("restore steps", snapshot.restore_steps);
-    std::snprintf(line, sizeof line, "  %-26s %lld\n", "degradation level",
-                  static_cast<long long>(snapshot.degradation_level));
-    out += line;
-    row("shadow runs", snapshot.shadow_runs);
-    row("shadow violations", snapshot.shadow_violations);
-    row("recalibrations", snapshot.recalibrations);
-    row("exact while recalibrating", snapshot.exact_while_recalibrating);
-    row("suppressed recalibrations", snapshot.suppressed_recalibrations);
-    row("adopted calibrations", snapshot.adopted_calibrations);
-    row("adoption rejects", snapshot.adoption_rejects);
-    row("warm registrations", snapshot.warm_registrations);
-    row("warm pipelines", snapshot.warm_pipelines);
-    row("warm data tiers", snapshot.warm_data_tiers);
-    row("cancelled launches", snapshot.cancelled_launches);
-    row("watchdog cancels", snapshot.watchdog_cancels);
-    row("watchdog fallbacks", snapshot.watchdog_fallbacks);
-    row("launch groups completed", snapshot.launch_groups_completed);
-    row("backoffs", snapshot.backoffs);
-    row("quarantines", snapshot.quarantines);
-    row("reinstatements", snapshot.reinstatements);
-    row("probes", snapshot.probes);
-    std::snprintf(line, sizeof line, "  %-26s %lld\n", "queue depth",
-                  static_cast<long long>(snapshot.queue_depth));
-    out += line;
-    std::snprintf(line, sizeof line,
-                  "  %-26s p50 %.3gms  p95 %.3gms  p99 %.3gms  (n=%llu)\n",
-                  "latency", snapshot.latency.p50 * 1e3,
-                  snapshot.latency.p95 * 1e3, snapshot.latency.p99 * 1e3,
-                  static_cast<unsigned long long>(snapshot.latency.count));
-    out += line;
+    const auto distribution = [&](const char* name,
+                                  const LatencySnapshot& latency) {
+        std::snprintf(line, sizeof line,
+                      "  %-26s p50 %.3gms  p95 %.3gms  p99 %.3gms  "
+                      "(n=%llu)\n",
+                      name, latency.p50 * 1e3, latency.p95 * 1e3,
+                      latency.p99 * 1e3,
+                      static_cast<unsigned long long>(latency.count));
+        out += line;
+    };
+#define PARAPROX_ROW(name, ...) row(#name, snapshot.name);
+    PARAPROX_SERVE_METRICS(PARAPROX_ROW)
+    PARAPROX_TUNER_TOTALS(PARAPROX_ROW)
+#undef PARAPROX_ROW
+    distribution("latency", snapshot.latency);
     std::snprintf(line, sizeof line,
                   "  %-26s total %llu  coalesced %llu  mean %.2f  max %llu\n",
-                  "batches",
+                  "batch",
                   static_cast<unsigned long long>(snapshot.batch.batches),
                   static_cast<unsigned long long>(snapshot.batch.coalesced),
                   snapshot.batch.mean_size,
                   static_cast<unsigned long long>(snapshot.batch.max_size));
     out += line;
-    std::snprintf(line, sizeof line,
-                  "  %-26s p50 %.3gms  p95 %.3gms  p99 %.3gms  (n=%llu)\n",
-                  "batch amortized latency", snapshot.batch_latency.p50 * 1e3,
-                  snapshot.batch_latency.p95 * 1e3,
-                  snapshot.batch_latency.p99 * 1e3,
-                  static_cast<unsigned long long>(
-                      snapshot.batch_latency.count));
-    out += line;
+    distribution("batch_latency", snapshot.batch_latency);
     return out;
 }
 

@@ -1,7 +1,7 @@
 /// @file
-/// Observability for the serving subsystem: monotonic counters, a
-/// queue-depth gauge, and a lock-free log2-bucketed latency histogram
-/// with percentile snapshot export.
+/// Observability for the serving subsystem: one declared list of
+/// counters and gauges, a lock-free log2-bucketed latency histogram with
+/// percentile snapshot export, and a batch-size summary.
 ///
 /// Everything here is bumped from worker threads on the request path, so
 /// the primitives are plain atomics — no locks, no allocation.  Snapshots
@@ -24,6 +24,8 @@ struct LatencySnapshot {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
+
+    bool operator==(const LatencySnapshot&) const = default;
 };
 
 /// Log2-bucketed histogram over [1 ns, ~2^63 ns); record() is wait-free.
@@ -51,96 +53,107 @@ struct BatchSnapshot {
     std::uint64_t coalesced_requests = 0;
     std::uint64_t max_size = 0;
     double mean_size = 0.0;       ///< Across all batches.
+
+    bool operator==(const BatchSnapshot&) const = default;
 };
 
-/// Exact-count batch-size distribution; record() is wait-free.  Sizes
-/// beyond kMaxSize saturate into the top bucket (max_size still reports
-/// the true maximum seen).
+/// Batch-size summary with no size limit; record() is wait-free.  The
+/// four running totals are all the snapshot needs: a coalesced batch is
+/// any batch that is not a singleton, and so is a coalesced request.
 class BatchHistogram {
   public:
     void record(std::size_t size);
     BatchSnapshot snapshot() const;
 
   private:
-    static constexpr std::size_t kMaxSize = 64;
-    /// by_size_[i] counts batches of exactly i+1 members.
-    std::atomic<std::uint64_t> by_size_[kMaxSize] = {};
-    std::atomic<std::uint64_t> total_requests_{0};
+    std::atomic<std::uint64_t> batches_{0};
+    std::atomic<std::uint64_t> singletons_{0};
+    std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> max_size_{0};
 };
 
+/// Every serve counter and gauge, declared once as X(name, type, help).
+/// `std::uint64_t` entries are monotonic counters, `std::int64_t` entries
+/// gauges.  The `Metrics` atomics, the `MetricsSnapshot` fields,
+/// `Metrics::snapshot()`, `format_metrics` and the net Stats frame all
+/// expand this list, so a new counter is one entry here plus its bump
+/// site.
+#define PARAPROX_SERVE_METRICS(X)                                          \
+    X(accepted, std::uint64_t, "requests admitted to a shard queue")       \
+    X(served, std::uint64_t, "requests resolved Ok")                       \
+    X(rejected_full, std::uint64_t,                                        \
+      "submits refused because the kernel's shard was at capacity")        \
+    X(rejected_unknown, std::uint64_t,                                     \
+      "submits naming no registered kernel")                               \
+    X(rejected_stopped, std::uint64_t, "submits after stop()")             \
+    X(rejected_closed_race, std::uint64_t,                                 \
+      "submits that passed the stopped check but found the queue closed; " \
+      "the client sees the same \"service stopped\" reason")               \
+    X(rejected_deadline, std::uint64_t,                                    \
+      "admissions refused because the deadline had passed or could not "   \
+      "be met behind the shard's backlog")                                 \
+    X(deadline_expired, std::uint64_t,                                     \
+      "accepted requests resolved DeadlineExceeded at the worker; not "    \
+      "counted in served")                                                 \
+    X(trap_fallbacks, std::uint64_t,                                       \
+      "requests whose approximate run trapped and were re-served exact")   \
+    X(degraded_serves, std::uint64_t,                                      \
+      "requests served below the calibrated selection by the "             \
+      "load-shedding degradation ladder")                                  \
+    X(degrade_steps, std::uint64_t,                                        \
+      "ladder steps toward cheaper variants")                              \
+    X(restore_steps, std::uint64_t, "ladder steps back toward quality")    \
+    X(degradation_level, std::int64_t,                                     \
+      "current service-wide ladder level; 0 is full quality")              \
+    X(shadow_runs, std::uint64_t,                                          \
+      "shadow audits against the exact kernel")                            \
+    X(shadow_violations, std::uint64_t, "shadow audits below the TOQ")     \
+    X(recalibrations, std::uint64_t, "drift-triggered recalibrations")     \
+    X(exact_while_recalibrating, std::uint64_t,                            \
+      "requests served exact while their kernel recalibrated")             \
+    X(suppressed_recalibrations, std::uint64_t,                            \
+      "drift events ceded to the fleet's calibration plane; the kernel "   \
+      "served exact until adoption")                                       \
+    X(adopted_calibrations, std::uint64_t,                                 \
+      "calibrations installed from a peer's publish")                      \
+    X(adoption_rejects, std::uint64_t,                                     \
+      "adoptions whose payload failed restore validation")                 \
+    X(warm_registrations, std::uint64_t,                                   \
+      "kernels registered with a stored calibration: no profiling sweep")  \
+    X(warm_pipelines, std::uint64_t,                                       \
+      "pipelines registered with a stored joint calibration")              \
+    X(warm_data_tiers, std::uint64_t,                                      \
+      "data-tier kernels registered with a stored precision calibration")  \
+    X(cancelled_launches, std::uint64_t,                                   \
+      "launches stopped mid-flight by a fired deadline token")             \
+    X(watchdog_cancels, std::uint64_t,                                     \
+      "launches the hung-launch watchdog cancelled; each charges the "     \
+      "variant's breaker like a trap")                                     \
+    X(watchdog_fallbacks, std::uint64_t,                                   \
+      "requests re-served exact after a watchdog cancel")                  \
+    X(launch_groups_completed, std::uint64_t,                              \
+      "work-groups completed across every serve launch, cancelled "        \
+      "launches included")                                                 \
+    X(queue_depth, std::int64_t, "requests admitted and not yet popped")
+
+/// The breaker totals, declared once as X(name, help).  Tuners own these
+/// counts (runtime::TunerStats has a field of each name):
+/// ApproxService::snapshot() sums them over every kernel, and a bare
+/// Metrics::snapshot() leaves them 0.
+#define PARAPROX_TUNER_TOTALS(X)                                           \
+    X(backoffs, "variant downgrades across all kernels")                   \
+    X(quarantines, "circuit-breaker openings")                             \
+    X(reinstatements, "breakers closed after probing")                     \
+    X(probes, "half-open probe executions")
+
 /// Plain-struct copy of every counter, for printing and assertions.
 struct MetricsSnapshot {
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected_full = 0;
-    std::uint64_t rejected_unknown = 0;
-    std::uint64_t rejected_stopped = 0;
-    /// Submits that lost the race with stop(): the stopped pre-check
-    /// passed but the queue was already closed.  Surfaced to the client
-    /// with the same "service stopped" reason as the pre-check path.
-    std::uint64_t rejected_closed_race = 0;
-    /// Admissions refused because the request's deadline had already
-    /// passed or could not be met behind the current backlog.
-    std::uint64_t rejected_deadline = 0;
-    std::uint64_t served = 0;
-    /// Accepted requests resolved with ServeStatus::DeadlineExceeded at
-    /// the worker (expired while queued; not counted in `served`).
-    std::uint64_t deadline_expired = 0;
-    /// Requests whose approximate run trapped and were re-served exact.
-    std::uint64_t trap_fallbacks = 0;
-    /// Requests served below the calibrated selection by the
-    /// load-shedding degradation ladder.
-    std::uint64_t degraded_serves = 0;
-    /// Ladder movements: steps toward cheaper variants / back up.
-    std::uint64_t degrade_steps = 0;
-    std::uint64_t restore_steps = 0;
-    /// Current service-wide degradation level (gauge; 0 = full quality).
-    std::int64_t degradation_level = 0;
-    std::uint64_t shadow_runs = 0;
-    std::uint64_t shadow_violations = 0;
-    std::uint64_t recalibrations = 0;
-    std::uint64_t exact_while_recalibrating = 0;
-    /// Drift events this replica ceded to the fleet's calibration plane
-    /// (a peer held the drift lease or had already published); the
-    /// kernel served exact until adoption instead of recalibrating.
-    std::uint64_t suppressed_recalibrations = 0;
-    /// Calibrations installed from a peer's publish via
-    /// adopt_calibration() (scale-out: recalibrate once, adopt
-    /// everywhere).
-    std::uint64_t adopted_calibrations = 0;
-    /// adopt_calibration() calls whose payload failed restore
-    /// validation (arity/label drift across module versions).
-    std::uint64_t adoption_rejects = 0;
-    /// Kernels registered with a calibration restored from the artifact
-    /// store (no profiling sweep at registration).
-    std::uint64_t warm_registrations = 0;
-    /// Pipelines registered with a joint calibration restored from the
-    /// artifact store: zero joint-search probe runs, zero sweeps.
-    std::uint64_t warm_pipelines = 0;
-    /// Data-tier kernels registered with a precision calibration restored
-    /// from the artifact store: zero profiling runs, zero plan search.
-    std::uint64_t warm_data_tiers = 0;
-    /// Launches stopped mid-flight by a fired deadline token: the
-    /// request resolved DeadlineExceeded without finishing its kernel.
-    std::uint64_t cancelled_launches = 0;
-    /// Launches the hung-launch watchdog cancelled (wall ceiling
-    /// exceeded); each charges the variant's breaker like a trap.
-    std::uint64_t watchdog_cancels = 0;
-    /// Requests re-served by the exact kernel after a watchdog cancel.
-    std::uint64_t watchdog_fallbacks = 0;
-    /// Work-groups completed across every serve launch (cancelled ones
-    /// included: groups that finished before the token fired still
-    /// burned CPU).  The cancellation bench reads the delta between a
-    /// cancelling and a non-cancelling run as "wasted work saved".
-    std::uint64_t launch_groups_completed = 0;
-    /// Variant downgrades across all kernels.  Tuners own this count;
-    /// ApproxService::snapshot() aggregates it in — it stays 0 in a bare
-    /// Metrics::snapshot().  Same for the three breaker counters below.
-    std::uint64_t backoffs = 0;
-    std::uint64_t quarantines = 0;     ///< Breaker openings (aggregated).
-    std::uint64_t reinstatements = 0;  ///< Breakers closed (aggregated).
-    std::uint64_t probes = 0;          ///< Half-open probes (aggregated).
-    std::int64_t queue_depth = 0;
+#define PARAPROX_SNAPSHOT_FIELD(name, type, help) type name = 0;
+    PARAPROX_SERVE_METRICS(PARAPROX_SNAPSHOT_FIELD)
+#undef PARAPROX_SNAPSHOT_FIELD
+#define PARAPROX_TOTAL_FIELD(name, help) std::uint64_t name = 0;
+    PARAPROX_TUNER_TOTALS(PARAPROX_TOTAL_FIELD)
+#undef PARAPROX_TOTAL_FIELD
     /// Sojourn time (admission to resolution) per request.
     LatencySnapshot latency;
     /// Batch-size distribution of worker pops (backlog coalescing).
@@ -149,43 +162,21 @@ struct MetricsSnapshot {
     /// serve wall clock divided by its member count, recorded once per
     /// member.  Compare against `latency` to see what coalescing buys.
     LatencySnapshot batch_latency;
+
+    bool operator==(const MetricsSnapshot&) const = default;
 };
 
-/// Human-readable multi-line report, used by tools and bench smoke runs.
+/// Human-readable multi-line report, used by tools and bench smoke runs:
+/// one row per declared name, then the three distributions.
 std::string format_metrics(const MetricsSnapshot& snapshot);
 
 /// The registry the service, monitor, and tuner report through.  Fields
 /// are public atomics: the request path bumps them directly.
 class Metrics {
   public:
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> rejected_full{0};
-    std::atomic<std::uint64_t> rejected_unknown{0};
-    std::atomic<std::uint64_t> rejected_stopped{0};
-    std::atomic<std::uint64_t> rejected_closed_race{0};
-    std::atomic<std::uint64_t> rejected_deadline{0};
-    std::atomic<std::uint64_t> served{0};
-    std::atomic<std::uint64_t> deadline_expired{0};
-    std::atomic<std::uint64_t> trap_fallbacks{0};
-    std::atomic<std::uint64_t> degraded_serves{0};
-    std::atomic<std::uint64_t> degrade_steps{0};
-    std::atomic<std::uint64_t> restore_steps{0};
-    std::atomic<std::int64_t> degradation_level{0};
-    std::atomic<std::uint64_t> shadow_runs{0};
-    std::atomic<std::uint64_t> shadow_violations{0};
-    std::atomic<std::uint64_t> recalibrations{0};
-    std::atomic<std::uint64_t> exact_while_recalibrating{0};
-    std::atomic<std::uint64_t> suppressed_recalibrations{0};
-    std::atomic<std::uint64_t> adopted_calibrations{0};
-    std::atomic<std::uint64_t> adoption_rejects{0};
-    std::atomic<std::uint64_t> warm_registrations{0};
-    std::atomic<std::uint64_t> warm_pipelines{0};
-    std::atomic<std::uint64_t> warm_data_tiers{0};
-    std::atomic<std::uint64_t> cancelled_launches{0};
-    std::atomic<std::uint64_t> watchdog_cancels{0};
-    std::atomic<std::uint64_t> watchdog_fallbacks{0};
-    std::atomic<std::uint64_t> launch_groups_completed{0};
-    std::atomic<std::int64_t> queue_depth{0};
+#define PARAPROX_METRIC_ATOMIC(name, type, help) std::atomic<type> name{0};
+    PARAPROX_SERVE_METRICS(PARAPROX_METRIC_ATOMIC)
+#undef PARAPROX_METRIC_ATOMIC
     LatencyHistogram latency;
     BatchHistogram batch;
     LatencyHistogram batch_latency;

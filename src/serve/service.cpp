@@ -849,10 +849,9 @@ ApproxService::snapshot() const
     for (const auto& [name, state] : kernels_) {
         out.kernels.push_back(snapshot_kernel(*state));
         const runtime::TunerStats& tuner = out.kernels.back().tuner;
-        out.metrics.backoffs += tuner.backoffs;
-        out.metrics.quarantines += tuner.quarantines;
-        out.metrics.reinstatements += tuner.reinstatements;
-        out.metrics.probes += tuner.probes;
+#define PARAPROX_ADD_TOTAL(name, help) out.metrics.name += tuner.name;
+        PARAPROX_TUNER_TOTALS(PARAPROX_ADD_TOTAL)
+#undef PARAPROX_ADD_TOTAL
     }
     return out;
 }

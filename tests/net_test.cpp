@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -19,8 +20,10 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "exec/buffer.h"
@@ -191,24 +194,90 @@ TEST_F(WireTest, SubmitReplyRoundtrip)
     EXPECT_EQ(decoded->output, (std::vector<float>{1.0f, 2.5f, -3.0f}));
 }
 
-TEST_F(WireTest, ReplicaStatsRoundtrip)
+/// @p n as a field of type T; gauges go negative so a sign that any
+/// copy drops shows up.
+template <class T>
+T
+distinct(std::uint64_t n)
 {
+    return std::is_signed_v<T> ? -static_cast<T>(n) : static_cast<T>(n);
+}
+
+/// A Stats payload with every field set, through the declared lists
+/// themselves so a new counter is covered with no test edit: @p metrics'
+/// atomics get distinct values in list order and its histograms a few
+/// samples; the breaker totals and the plane counters continue the
+/// sequence.
+ReplicaStats
+populated_stats(serve::Metrics& metrics)
+{
+    std::uint64_t next = 1;
+#define PARAPROX_SET(name, type, help) metrics.name = distinct<type>(next++);
+    PARAPROX_SERVE_METRICS(PARAPROX_SET)
+#undef PARAPROX_SET
+    metrics.latency.record(2e-3);
+    metrics.latency.record(5e-6);
+    metrics.batch.record(100);
+    metrics.batch.record(1);
+    metrics.batch_latency.record(4e-4);
+
     ReplicaStats stats;
     stats.replica = "beta";
-    stats.served = 7;
-    stats.recalibrations = 1;
-    stats.adopted_calibrations = 2;
-    stats.lease_wins = 3;
-    stats.takeovers = 4;
+    stats.metrics = metrics.snapshot();
+#define PARAPROX_SET(name, help) stats.metrics.name = next++;
+    PARAPROX_TUNER_TOTALS(PARAPROX_SET)
+#undef PARAPROX_SET
+#define PARAPROX_SET(name, help) stats.plane.name = next++;
+    PARAPROX_PLANE_STATS(PARAPROX_SET)
+#undef PARAPROX_SET
+    return stats;
+}
 
+TEST_F(WireTest, ReplicaStatsRoundtrip)
+{
+    serve::Metrics metrics;
+    const ReplicaStats stats = populated_stats(metrics);
+
+    // Metrics::snapshot() copies every declared field, each to its own.
+#define PARAPROX_EXPECT_FIELD(name, type, help)                            \
+    EXPECT_EQ(stats.metrics.name, metrics.name.load()) << #name;
+    PARAPROX_SERVE_METRICS(PARAPROX_EXPECT_FIELD)
+#undef PARAPROX_EXPECT_FIELD
+    EXPECT_EQ(stats.metrics.latency, metrics.latency.snapshot());
+    EXPECT_EQ(stats.metrics.batch, metrics.batch.snapshot());
+    EXPECT_EQ(stats.metrics.batch_latency, metrics.batch_latency.snapshot());
+
+    // format_metrics prints exactly one row per declared name, holding
+    // that field's value, plus one row per distribution.
+    const std::string report = serve::format_metrics(stats.metrics);
+    std::size_t declared = 0;
+    const auto values_of = [&](const std::string& name) {
+        std::vector<std::string> values;
+        std::istringstream lines(report);
+        for (std::string line; std::getline(lines, line);) {
+            std::istringstream words(line);
+            std::string first, value;
+            if (words >> first >> value && first == name)
+                values.push_back(value);
+        }
+        ++declared;
+        return values;
+    };
+#define PARAPROX_EXPECT_FIELD(name, ...)                                   \
+    EXPECT_EQ(values_of(#name), std::vector<std::string>{                  \
+                                    std::to_string(stats.metrics.name)})   \
+        << #name;
+    PARAPROX_SERVE_METRICS(PARAPROX_EXPECT_FIELD)
+    PARAPROX_TUNER_TOTALS(PARAPROX_EXPECT_FIELD)
+#undef PARAPROX_EXPECT_FIELD
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(report.begin(), report.end(), '\n')),
+              declared + 3);
+
+    // The Stats frame carries all of it: plane and distributions too.
     const auto decoded = ReplicaStats::decode(stats.encode());
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->replica, "beta");
-    EXPECT_EQ(decoded->served, 7u);
-    EXPECT_EQ(decoded->recalibrations, 1u);
-    EXPECT_EQ(decoded->adopted_calibrations, 2u);
-    EXPECT_EQ(decoded->lease_wins, 3u);
-    EXPECT_EQ(decoded->takeovers, 4u);
+    EXPECT_EQ(*decoded, stats);
 }
 
 TEST_F(WireTest, DecodersRejectGarbage)
@@ -228,6 +297,18 @@ TEST_F(WireTest, DecodersRejectGarbage)
     EXPECT_FALSE(SubmitReply::decode({0xff, 0xff, 0xff}).has_value());
     EXPECT_FALSE(ReplicaStats::decode({}).has_value());
     EXPECT_FALSE(DriftRequest::decode({}).has_value());
+
+    // The same for every prefix of a fully populated Stats payload, and
+    // for one with a trailing byte.
+    serve::Metrics metrics;
+    std::vector<std::uint8_t> stats = populated_stats(metrics).encode();
+    for (std::size_t cut = 0; cut < stats.size(); ++cut) {
+        const std::vector<std::uint8_t> prefix(stats.begin(),
+                                               stats.begin() + cut);
+        EXPECT_FALSE(ReplicaStats::decode(prefix).has_value()) << cut;
+    }
+    stats.push_back(0);
+    EXPECT_FALSE(ReplicaStats::decode(stats).has_value());
 }
 
 TEST_F(WireTest, FrameRoundtripOverUnixSocket)
@@ -525,6 +606,44 @@ TEST_F(FrontDoorTest, NoLiveReplicaIsACountedRejection)
     EXPECT_NE(reply.reject_reason.find("no live replica"),
               std::string::npos);
     EXPECT_GE(door.stats().rejected_no_replica, 1u);
+
+    door.stop();
+    alpha.server.stop();
+    alpha.service.stop();
+}
+
+TEST_F(FrontDoorTest, StatsFrameReportsAQuarantinedVariant)
+{
+    // Every served approximation traps: three failures open the "good"
+    // breaker.  The front door must see that over the wire, where only
+    // the service's aggregated snapshot carries the breaker totals.
+    TempDir dir("quarantine");
+    InProcessReplica alpha("alpha", (dir.path / "a.sock").string());
+    ASSERT_TRUE(alpha.server.start());
+    fault::FaultSpec trap;
+    trap.site = "vm.trap";
+    trap.match = "good";
+    trap.every = 1;
+    fault::FaultInjector::instance().arm({trap});
+
+    FrontDoor door({{"alpha", alpha.server.socket_path()}});
+    ASSERT_TRUE(door.start());
+    for (int i = 0; i < 4; ++i) {
+        SubmitRequest request;
+        request.kernel = "k";
+        request.input = SubmitRequest::seed_input(100 + i);
+        EXPECT_EQ(door.route(std::move(request)).status, WireStatus::Ok);
+    }
+
+    const auto reply = door.call(0, MsgType::StatsRequest, {});
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, MsgType::StatsReply);
+    const auto stats = ReplicaStats::decode(reply->payload);
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->replica, "alpha");
+    EXPECT_EQ(stats->metrics.served, 4u);
+    EXPECT_GE(stats->metrics.trap_fallbacks, 3u);
+    EXPECT_GE(stats->metrics.quarantines, 1u);
 
     door.stop();
     alpha.server.stop();

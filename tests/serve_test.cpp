@@ -296,6 +296,23 @@ TEST(LatencyHistogramTest, SingleSampleDefinesEveryPercentile)
     EXPECT_DOUBLE_EQ(snap.p99, snap.p50);
 }
 
+// ---- BatchHistogram ---------------------------------------------------------
+
+TEST(BatchHistogramTest, BatchesAboveSixtyFourCountEveryMember)
+{
+    // No size limit: a 100-member batch is 100 coalesced requests, not
+    // the 64 a saturating top bucket used to report.
+    BatchHistogram histogram;
+    histogram.record(100);
+    histogram.record(1);
+    const BatchSnapshot snap = histogram.snapshot();
+    EXPECT_EQ(snap.batches, 2u);
+    EXPECT_EQ(snap.coalesced, 1u);
+    EXPECT_EQ(snap.coalesced_requests, 100u);
+    EXPECT_EQ(snap.max_size, 100u);
+    EXPECT_DOUBLE_EQ(snap.mean_size, 50.5);
+}
+
 // ---- QualityMonitor ---------------------------------------------------------
 
 QualityMonitor::Config
@@ -1113,44 +1130,6 @@ TEST(ApproxServiceTest, DeadlineAdmissionConsultsTheTargetKernelsShard)
     EXPECT_EQ(service.metrics().snapshot().rejected_deadline, 1u);
 }
 
-TEST(ApproxServiceTest, MixedDeadlineBatchScattersOnlyExpiredMembers)
-{
-    // Two members of one coalesced batch: one expired while queued, one
-    // fresh.  The expired member resolves DeadlineExceeded; its
-    // batch-mate is served normally.
-    ServiceConfig config = small_service(1, 16);
-    config.batching.max_batch = 16;
-    ApproxService service(config);
-    std::vector<Variant> variants;
-    variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0, 50));
-    service.register_kernel("k", std::move(variants),
-                            Metric::MeanRelativeError, 90.0, {1});
-
-    Ticket plug = service.submit("k", 1);
-    ASSERT_TRUE(plug.accepted);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-
-    // Queued behind a 50 ms blocker: the 10 ms deadline expires before
-    // the worker frees, the fresh member survives the wait.
-    Ticket expired = service.submit(
-        "k", 2, SubmitOptions::within(std::chrono::milliseconds(10)));
-    ASSERT_TRUE(expired.accepted);
-    Ticket fresh = service.submit(
-        "k", 3, SubmitOptions::within(std::chrono::seconds(30)));
-    ASSERT_TRUE(fresh.accepted);
-
-    EXPECT_EQ(plug.response.get().status, ServeStatus::Ok);
-    EXPECT_EQ(expired.response.get().status,
-              ServeStatus::DeadlineExceeded);
-    EXPECT_EQ(fresh.response.get().status, ServeStatus::Ok);
-    service.drain();
-
-    const auto metrics = service.metrics().snapshot();
-    EXPECT_EQ(metrics.deadline_expired, 1u);
-    EXPECT_EQ(metrics.served, 2u);
-    EXPECT_EQ(metrics.queue_depth, 0);
-}
-
 /// A one-shot latch a variant can block on until the test opens it.
 /// Opens on destruction too, so a failed assertion never leaves a worker
 /// parked inside the service being torn down.
@@ -1171,6 +1150,63 @@ class Gate {
     std::shared_future<void> opened_future_;
     std::atomic<bool> open_{false};
 };
+
+TEST(ApproxServiceTest, MixedDeadlineBatchScattersOnlyExpiredMembers)
+{
+    // Two members of one coalesced batch: one expired while queued, one
+    // fresh.  The expired member resolves DeadlineExceeded; its
+    // batch-mate is served normally.
+    ServiceConfig config = small_service(1, 16);
+    config.batching.max_batch = 16;
+    std::atomic<bool> plugged{false};
+    ApproxService service(config);
+    Gate plug_gate;  // Opens before the service stops its workers.
+    std::vector<Variant> variants;
+    variants.push_back(fake_variant("exact", 0, 0.0f, 1000.0));
+    const auto serve = variants.back().run;
+    variants.back().run = [serve, gate = plug_gate.future(),
+                           &plugged](std::uint64_t seed) {
+        // Calibration seeds stay below 100 and never block.
+        if (seed >= 100) {
+            plugged.store(true);
+            gate.wait();
+        }
+        return serve(seed);
+    };
+    service.register_kernel("k", std::move(variants),
+                            Metric::MeanRelativeError, 90.0, {1});
+
+    // Park the only worker on the plug, so both members queue behind it
+    // in an empty shard and pop together once the gate opens.
+    Ticket plug = service.submit("k", 100);
+    ASSERT_TRUE(plug.accepted);
+    while (!plugged.load())
+        std::this_thread::yield();
+
+    // The 10 ms deadline passes while the worker is parked; the fresh
+    // member's 30 s budget survives the wait.
+    const auto options =
+        SubmitOptions::within(std::chrono::milliseconds(10));
+    Ticket expired = service.submit("k", 2, options);
+    ASSERT_TRUE(expired.accepted);
+    Ticket fresh = service.submit(
+        "k", 3, SubmitOptions::within(std::chrono::seconds(30)));
+    ASSERT_TRUE(fresh.accepted);
+    std::this_thread::sleep_until(*options.deadline +
+                                  std::chrono::milliseconds(1));
+    plug_gate.open();
+
+    EXPECT_EQ(plug.response.get().status, ServeStatus::Ok);
+    EXPECT_EQ(expired.response.get().status,
+              ServeStatus::DeadlineExceeded);
+    EXPECT_EQ(fresh.response.get().status, ServeStatus::Ok);
+    service.drain();
+
+    const auto metrics = service.metrics().snapshot();
+    EXPECT_EQ(metrics.deadline_expired, 1u);
+    EXPECT_EQ(metrics.served, 2u);
+    EXPECT_EQ(metrics.queue_depth, 0);
+}
 
 TEST(ApproxServiceTest, UnshadowedBatchMateResolvesBeforeTheAudit)
 {

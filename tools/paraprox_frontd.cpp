@@ -382,9 +382,9 @@ main(int argc, char** argv)
             std::uint64_t resolved = 0;
             for (std::size_t i = 0; i < endpoints.size(); ++i) {
                 if (const auto stats = scrape_stats(door, i);
-                    stats && stats->published_calibrations +
-                                     stats->adopted_calibrations +
-                                     stats->redundant_recalibrations >
+                    stats && stats->plane.published +
+                                     stats->metrics.adopted_calibrations +
+                                     stats->plane.redundant >
                                  0)
                     ++resolved;
             }
@@ -394,31 +394,21 @@ main(int argc, char** argv)
         }
     }
 
-    std::printf("\nper-replica stats:\n");
-    std::printf("  %-12s %7s %7s %7s %7s %7s %7s %7s %7s %7s %7s\n",
-                "replica", "served", "recals", "suppr", "adopt", "reject",
-                "wins", "losses", "publ", "redund", "takeov");
+    // Each replica's scraped Stats frame, printed from the decoded
+    // snapshot: every declared serve counter, then the plane's.
     for (std::size_t i = 0; i < endpoints.size(); ++i) {
         const auto stats = scrape_stats(door, i);
         if (!stats) {
-            std::printf("  %-12s (unreachable)\n",
-                        endpoints[i].id.c_str());
+            std::printf("\n%s: (unreachable)\n", endpoints[i].id.c_str());
             continue;
         }
-        const auto cell = [](std::uint64_t value) {
-            return static_cast<unsigned long long>(value);
-        };
-        std::printf("  %-12s %7llu %7llu %7llu %7llu %7llu %7llu %7llu "
-                    "%7llu %7llu %7llu\n",
-                    stats->replica.c_str(), cell(stats->served),
-                    cell(stats->recalibrations),
-                    cell(stats->suppressed_recalibrations),
-                    cell(stats->adopted_calibrations),
-                    cell(stats->adoption_rejects), cell(stats->lease_wins),
-                    cell(stats->lease_losses),
-                    cell(stats->published_calibrations),
-                    cell(stats->redundant_recalibrations),
-                    cell(stats->takeovers));
+        std::printf("\n%s stats:\n%s", stats->replica.c_str(),
+                    serve::format_metrics(stats->metrics).c_str());
+#define PARAPROX_PLANE_ROW(name, help)                                     \
+    std::printf("  %-26s %llu\n", "plane." #name,                          \
+                static_cast<unsigned long long>(stats->plane.name));
+        PARAPROX_PLANE_STATS(PARAPROX_PLANE_ROW)
+#undef PARAPROX_PLANE_ROW
     }
     const auto door_stats = door.stats();
     std::printf("front door: %llu requests, %llu requeues, %llu replica "
